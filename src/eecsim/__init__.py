@@ -10,16 +10,11 @@ __version__ = "0.1.0"
 
 from .chain import (
     ChainModel,
-    ChainState,
-    DelayResult,
-    StateIndex,
     build_baseline,
     build_failure_chain,
     build_level_dependent,
     completion_probability,
-    embedded_dtmc,
     mean_absorption_time,
-    sojourn_vector,
     worker_idle_probability,
 )
 from .collab import (
@@ -48,7 +43,6 @@ from .coverage import (
     worker_availability_mass,
 )
 from .errors import (
-    ChainStructureError,
     ConfigError,
     ParameterError,
     QuadratureError,

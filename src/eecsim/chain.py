@@ -10,14 +10,23 @@ completed their segment and how many are executing one.  Transitions are
 The per-segment execution rate is n * mu_f: splitting a task into n pieces
 makes each piece n times faster on average.  The chain absorbs at (n, 0).
 With a finite spare budget the state carries a cumulative failure counter
-and a failure past the budget drops into a distinct FAIL absorbing state.
+u, a failure moves (f, c, u) -> (f, c-1, u+1), and a failure past the
+budget drops into a distinct FAIL absorbing state.
 
 Allocation rates are indexed by the number of workers currently computing:
 the next allocation from (f, c) uses ``offload_rates[c]``, so a replacement
 after a failure re-uses the vacated slot's rate rather than a fresh rank.
 
-Models are immutable once built (matrices are frozen read-only); all solves
-are pure and use dense partial-pivot factorizations.
+:func:`transitions` is the one enumeration of these rules; the solver here
+and the trajectory simulator both read it.  Neither f nor u ever decreases,
+so the solver walks the (f, u) blocks backward, from f = n-1 down to 0 and
+from u = budget down to 0.  Inside a block the only moves are allocation
+c -> c+1 and, with unlimited spares, failure c -> c-1; every other move
+leads to a block already solved or to absorption.  Each block is therefore
+one tridiagonal system in c, solved by a single Thomas sweep whose two
+right-hand sides give the mean time to absorption and the probability of
+absorbing at (n, 0).  The cost is O(n^2 (budget + 1)) and no matrix is
+formed.
 """
 
 from __future__ import annotations
@@ -25,21 +34,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ChainStructureError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
     "FAIL",
-    "ChainState",
-    "StateIndex",
     "ChainModel",
-    "DelayResult",
     "build_baseline",
     "build_level_dependent",
     "build_failure_chain",
-    "embedded_dtmc",
-    "sojourn_vector",
+    "transitions",
     "mean_absorption_time",
     "completion_probability",
     "worker_idle_probability",
@@ -50,54 +53,11 @@ FAIL = "FAIL"
 
 
 @dataclass(frozen=True)
-class ChainState:
-    finished: int
-    computing: int
-
-    def __post_init__(self):
-        if self.finished < 0 or self.computing < 0:
-            raise ParameterError("state counts must be nonnegative")
-
-
-class StateIndex:
-    """Bijection between state labels and contiguous indices.
-
-    Plain (f, c) chains enumerate states lexicographically by
-    (finished, computing), so (0, 0) gets index 0 and the absorbing (n, 0)
-    the largest index.  Budget-tracking chains use (f, c, failures_so_far)
-    plus the FAIL sentinel at the very end.
-    """
-
-    def __init__(self, states):
-        self.states = tuple(states)
-        self._index = {s: i for i, s in enumerate(self.states)}
-        if len(self._index) != len(self.states):
-            raise ParameterError("duplicate states")
-
-    def __len__(self):
-        return len(self.states)
-
-    def index_of(self, state) -> int:
-        return self._index[state]
-
-    def state_of(self, i: int):
-        return self.states[i]
-
-    def __contains__(self, state):
-        return state in self._index
-
-
-def _plain_states(n: int):
-    return [(f, c) for f in range(n + 1) for c in range(n - f + 1)]
-
-
-@dataclass(frozen=True)
 class ChainModel:
-    """One absorbing-chain variant, fully assembled.
+    """Parameters of one absorbing-chain variant.
 
-    ``generator`` is the rate matrix Q, ``embedded`` the jump-probability
-    matrix P (absorbing rows get a self-loop), and ``sojourn`` the expected
-    dwell time per state (zero at absorbing states).
+    ``spare_budget`` is None for unlimited replacements (no FAIL state) or
+    the number of failures the task survives.
     """
 
     n: int
@@ -105,85 +65,15 @@ class ChainModel:
     segment_exec_rate: float
     failure_rate_per_worker: float
     spare_budget: int | None
-    index: StateIndex
-    generator: np.ndarray
-    embedded: np.ndarray
-    sojourn: np.ndarray
-    success_indices: tuple[int, ...]
-    fail_index: int | None
-
-    @property
-    def absorbing_indices(self) -> tuple[int, ...]:
-        if self.fail_index is None:
-            return self.success_indices
-        return self.success_indices + (self.fail_index,)
-
-    @property
-    def initial_index(self) -> int:
-        state = (0, 0) if self.spare_budget is None else (0, 0, 0)
-        return self.index.index_of(state)
 
 
-def _assemble(n, rates, mu_f, gamma_n, spare_budget) -> ChainModel:
-    mu_seg = n * mu_f
-    if spare_budget is None:
-        labels = _plain_states(n)
-        fail_at = None
-    else:
-        labels = [(f, c, u) for f in range(n + 1)
-                  for c in range(n - f + 1)
-                  for u in range(spare_budget + 1)]
-        labels.append(FAIL)
-        fail_at = len(labels) - 1
-    index = StateIndex(labels)
-    size = len(labels)
-    Q = np.zeros((size, size))
-
-    def fill(i, f, c, u=None):
-        if f == n:
-            return  # success, absorbing
-        if f + c < n:
-            Q[i, _idx(f, c + 1, u)] += rates[c]
-        if c > 0:
-            Q[i, _idx(f + 1, c - 1, u)] += c * mu_seg
-            if gamma_n > 0.0:
-                if u is None:
-                    Q[i, _idx(f, c - 1, u)] += c * gamma_n
-                elif u < spare_budget:
-                    Q[i, _idx(f, c - 1, u + 1)] += c * gamma_n
-                else:
-                    Q[i, fail_at] += c * gamma_n
-        Q[i, i] = -Q[i].sum()
-
-    def _idx(f, c, u):
-        return index.index_of((f, c) if u is None else (f, c, u))
-
-    for i, label in enumerate(labels):
-        if label == FAIL:
-            continue
-        if spare_budget is None:
-            fill(i, label[0], label[1])
-        else:
-            fill(i, label[0], label[1], label[2])
-
-    success = tuple(i for i, s in enumerate(labels) if s != FAIL and s[0] == n and s[1] == 0)
-    absorbing = set(success) | ({fail_at} if fail_at is not None else set())
-    P = _embedded_from_generator(Q, absorbing, index)
-    w = _sojourn_from_generator(Q, absorbing)
-    for arr in (Q, P, w):
-        arr.flags.writeable = False
+def _model(n, rates, mu_f, gamma_n, spare_budget) -> ChainModel:
     return ChainModel(
         n=n,
         offload_rates=tuple(float(r) for r in rates),
-        segment_exec_rate=float(mu_seg),
+        segment_exec_rate=float(n * mu_f),
         failure_rate_per_worker=float(gamma_n),
         spare_budget=spare_budget,
-        index=index,
-        generator=Q,
-        embedded=P,
-        sojourn=w,
-        success_indices=success,
-        fail_index=fail_at,
     )
 
 
@@ -200,7 +90,7 @@ def build_baseline(n: int, lambda_h: float, mu_f: float) -> ChainModel:
     _check_n_mu(n, mu_f)
     if not (lambda_h > 0 and math.isfinite(lambda_h)):
         raise ParameterError("lambda_h must be positive and finite")
-    return _assemble(n, [lambda_h] * n, mu_f, 0.0, None)
+    return _model(n, [lambda_h] * n, mu_f, 0.0, None)
 
 
 def build_level_dependent(n: int, lambda_list, mu_f: float) -> ChainModel:
@@ -211,7 +101,7 @@ def build_level_dependent(n: int, lambda_list, mu_f: float) -> ChainModel:
     """
     _check_n_mu(n, mu_f)
     _validate_rates(lambda_list, n)
-    return _assemble(n, list(lambda_list), mu_f, 0.0, None)
+    return _model(n, lambda_list, mu_f, 0.0, None)
 
 
 def build_failure_chain(n: int, lambda_list, mu_f: float, l: float,
@@ -229,8 +119,7 @@ def build_failure_chain(n: int, lambda_list, mu_f: float, l: float,
     if spare_budget is not None:
         if not isinstance(spare_budget, int) or isinstance(spare_budget, bool) or spare_budget < 0:
             raise ParameterError("spare_budget must be None or an integer >= 0")
-    gamma_n = mu_f / (l * n)
-    return _assemble(n, list(lambda_list), mu_f, gamma_n, spare_budget)
+    return _model(n, lambda_list, mu_f, mu_f / (l * n), spare_budget)
 
 
 def _check_n_mu(n, mu_f):
@@ -240,130 +129,104 @@ def _check_n_mu(n, mu_f):
         raise ParameterError("mu_f must be positive and finite")
 
 
-def _embedded_from_generator(Q, absorbing, index=None) -> np.ndarray:
-    size = Q.shape[0]
-    P = np.zeros_like(Q)
-    dead = []
-    for i in range(size):
-        if i in absorbing:
-            P[i, i] = 1.0
-            continue
-        exit_rate = -Q[i, i]
-        if exit_rate <= 0.0:
-            dead.append(i)
-            continue
-        P[i] = Q[i] / exit_rate
-        P[i, i] = 0.0
-    if dead:
-        names = tuple(index.state_of(i) for i in dead) if index is not None else tuple(dead)
-        raise ChainStructureError(
-            f"transient state(s) with no exit rate: {names}", states=names)
-    return P
+def transitions(model: ChainModel, state) -> list[tuple[float, object]]:
+    """(rate, target) pairs out of the transient state (f, c, u).
 
+    u counts failures so far and stays 0 with unlimited spares; a target is
+    another (f, c, u) state or FAIL.  The builders' input checks make every
+    rate positive, so every transient state has an exit and reaches
+    absorption.
 
-def _sojourn_from_generator(Q, absorbing) -> np.ndarray:
-    size = Q.shape[0]
-    w = np.zeros(size)
-    for i in range(size):
-        if i in absorbing:
-            continue
-        w[i] = 1.0 / (-Q[i, i])
-    return w
-
-
-def embedded_dtmc(model: ChainModel) -> np.ndarray:
-    """Jump-probability matrix of the model's generator.
-
-    P(i, j) = Q(i, j) / |Q(i, i)| off the diagonal for transient rows;
-    absorbing rows carry a unit self-loop.
+    The order is failure within the budget, allocation, completion, FAIL,
+    and it must stay fixed: the trajectory simulator picks a target by one
+    uniform draw against the cumulative rates in this order, so any other
+    order changes every simulated stream.
     """
-    return _embedded_from_generator(model.generator, set(model.absorbing_indices), model.index)
+    f, c, u = state
+    budget = model.spare_budget
+    out = []
+    fail_rate = c * model.failure_rate_per_worker
+    if fail_rate > 0.0 and budget is None:
+        out.append((fail_rate, (f, c - 1, u)))
+    elif fail_rate > 0.0 and u < budget:
+        out.append((fail_rate, (f, c - 1, u + 1)))
+    if f + c < model.n:
+        out.append((model.offload_rates[c], (f, c + 1, u)))
+    if c > 0:
+        out.append((c * model.segment_exec_rate, (f + 1, c - 1, u)))
+    if fail_rate > 0.0 and budget is not None and u == budget:
+        out.append((fail_rate, FAIL))
+    return out
 
 
-def sojourn_vector(model: ChainModel) -> np.ndarray:
-    """Expected dwell time per state: 1/|Q(i,i)| transient, 0 absorbing."""
-    return _sojourn_from_generator(model.generator, set(model.absorbing_indices))
+def _solve(model: ChainModel) -> tuple[float, float]:
+    """Mean time to absorption and probability of absorbing at (n, 0),
+    both from the empty start state (0, 0, 0)."""
+    n = model.n
+    top = 0 if model.spare_budget is None else model.spare_budget
+    solved: dict = {}
+
+    def value(target):
+        if target == FAIL:
+            return 0.0, 0.0
+        if target[0] == n:
+            return 0.0, 1.0
+        return solved[target]
+
+    for f in range(n - 1, -1, -1):
+        for u in range(top, -1, -1):
+            # Thomas sweep over c.  Row c reads
+            #   q x[c] - down x[c-1] - up x[c+1] = rhs[c],  q = up + down + out;
+            # eliminating x[c-1] leaves denom x[c] - up x[c+1] = rhs'[c].
+            # h[c] is the share of denom[c] not owed to up, so
+            # denom = up + out + down h[c-1] is a sum of rates, never a
+            # difference that could cancel.
+            rows = []
+            h = y = z = 0.0
+            for c in range(n - f + 1):
+                up = down = out = 0.0
+                rhs_t, rhs_s = 1.0, 0.0
+                for rate, target in transitions(model, (f, c, u)):
+                    if target == (f, c + 1, u):
+                        up = rate
+                    elif target == (f, c - 1, u):
+                        down = rate
+                    else:
+                        t, s = value(target)
+                        out += rate
+                        rhs_t += rate * t
+                        rhs_s += rate * s
+                leave = out + down * h
+                denom = up + leave
+                rhs_t += down * y
+                rhs_s += down * z
+                h, y, z = leave / denom, rhs_t / denom, rhs_s / denom
+                rows.append((up, denom, rhs_t, rhs_s))
+            t = s = 0.0
+            for c in range(n - f, -1, -1):
+                up, denom, rhs_t, rhs_s = rows[c]
+                t = (rhs_t + up * t) / denom
+                s = (rhs_s + up * s) / denom
+                solved[f, c, u] = (t, s)
+    return solved[0, 0, 0]
 
 
-@dataclass(frozen=True)
-class DelayResult:
-    mean_delay_s: float
-    per_state_expected_remaining: np.ndarray
+def mean_absorption_time(model: ChainModel) -> float:
+    """Expected time from the empty state (nothing finished, nothing
+    allocated) to absorption, at (n, 0) or in FAIL."""
+    return _solve(model)[0]
 
 
-def _transient_partition(model: ChainModel):
-    absorbing = set(model.absorbing_indices)
-    transient = [i for i in range(len(model.index)) if i not in absorbing]
-    return transient, absorbing
-
-
-def _check_absorbing_reachable(model: ChainModel, transient):
-    """Reject models in which some transient state can never absorb."""
-    size = len(model.index)
-    preds: list[list[int]] = [[] for _ in range(size)]
-    rows, cols = np.nonzero(model.embedded > 0.0)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if i != j:
-            preds[j].append(i)
-    seen = set(model.absorbing_indices)
-    stack = list(seen)
-    while stack:
-        j = stack.pop()
-        for i in preds[j]:
-            if i not in seen:
-                seen.add(i)
-                stack.append(i)
-    stuck = tuple(model.index.state_of(i) for i in transient if i not in seen)
-    if stuck:
-        raise ChainStructureError(
-            f"absorbing state unreachable from state(s): {stuck}", states=stuck)
-
-
-def mean_absorption_time(model: ChainModel, initial_state=None) -> DelayResult:
-    """Expected time to absorption from the given start state.
-
-    Solves (I - P_T) m = w with a direct linear solve over the transient
-    block; the full per-state vector is returned with zeros at absorbing
-    states.  The default start is the empty state with nothing allocated.
-    """
-    transient, _ = _transient_partition(model)
-    _check_absorbing_reachable(model, transient)
-    P_T = model.embedded[np.ix_(transient, transient)]
-    w = model.sojourn[transient]
-    try:
-        m = np.linalg.solve(np.eye(len(transient)) - P_T, w)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - reachability catches first
-        raise ChainStructureError(f"absorption system is singular: {exc}") from exc
-    full = np.zeros(len(model.index))
-    full[transient] = m
-    full.flags.writeable = False
-    start = model.initial_index if initial_state is None else model.index.index_of(initial_state)
-    return DelayResult(mean_delay_s=float(full[start]), per_state_expected_remaining=full)
-
-
-def completion_probability(model: ChainModel, initial_state=None) -> float:
+def completion_probability(model: ChainModel) -> float:
     """Probability of absorbing in the success state rather than FAIL.
 
     Only defined for models with a finite spare budget, which have both a
     success and a FAIL absorbing state.
     """
-    if model.fail_index is None:
+    if model.spare_budget is None:
         raise ParameterError(
             "completion_probability needs a model with a finite spare_budget")
-    transient, _ = _transient_partition(model)
-    _check_absorbing_reachable(model, transient)
-    P_T = model.embedded[np.ix_(transient, transient)]
-    b = model.embedded[np.ix_(transient, list(model.success_indices))].sum(axis=1)
-    rho = np.linalg.solve(np.eye(len(transient)) - P_T, b)
-    start = model.initial_index if initial_state is None else model.index.index_of(initial_state)
-    pos = {idx: row for row, idx in enumerate(transient)}
-    if start in pos:
-        value = float(rho[pos[start]])
-    elif start in model.success_indices:
-        value = 1.0
-    else:
-        value = 0.0
-    return min(max(value, 0.0), 1.0)
+    return min(max(_solve(model)[1], 0.0), 1.0)
 
 
 def worker_idle_probability(mu_f: float, nu_r: float, nu_w: float) -> float:

@@ -19,7 +19,7 @@ import tempfile
 from dataclasses import replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import __version__
 from .chain import (
@@ -30,7 +30,7 @@ from .chain import (
     mean_absorption_time,
     worker_idle_probability,
 )
-from .collab import bias_sweep
+from .collab import alpha_grid, bias_sweep, usable_segment_count
 from .config import ScenarioConfig, config_hash, load_config
 from .coverage import (
     CoverageQuery,
@@ -160,11 +160,15 @@ def _level_rates(config: ScenarioConfig, n_max: int) -> np.ndarray:
     return ps / config.task.d2d_slot_s
 
 
-def _delay_model(config: ScenarioConfig, variant: str, n: int, rates: np.ndarray | None):
+def _random_rate(config: ScenarioConfig) -> float:
+    query = CoverageQuery(config.radio, config.deploy, RandomSelection())
+    return success_probability(query) / config.task.d2d_slot_s
+
+
+def _delay_model(config: ScenarioConfig, variant: str, n: int, lam: float | None,
+                 rates: np.ndarray | None):
     mu_f = config.task.task_exec_rate_per_s
     if variant == "random":
-        query = CoverageQuery(config.radio, config.deploy, RandomSelection())
-        lam = success_probability(query) / config.task.d2d_slot_s
         return build_baseline(n, lam, mu_f)
     if variant == "ordered":
         return build_level_dependent(n, rates[:n].tolist(), mu_f)
@@ -208,7 +212,9 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
     if any(n < 1 for n in n_grid):
         raise ConfigError("segment counts must be >= 1")
     variants = args.variant or ["ordered"]
-    rates = None
+    lam = rates = None
+    if "random" in variants and n_grid:
+        lam = _random_rate(config)
     if any(v != "random" for v in variants) and n_grid:
         rates = _level_rates(config, max(n_grid))
     header = ["variant", "n", "mean_delay_s", "is_optimal"]
@@ -219,8 +225,8 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
         delays = []
         sim_results = []
         for n in n_grid:
-            model = _delay_model(config, variant, n, rates)
-            delays.append(mean_absorption_time(model).mean_delay_s)
+            model = _delay_model(config, variant, n, lam, rates)
+            delays.append(mean_absorption_time(model))
             if args.simulate:
                 cfg = SimConfig(seed=args.seed, replications=args.reps)
                 sim_results.append(empirical_delay(cfg, model))
@@ -274,10 +280,10 @@ def cmd_contour(config: ScenarioConfig, args) -> int:
         scenario = replace(config, deploy=replace(config.deploy,
                                                   worker_intensity_per_m2=nu_w))
         rates = _level_rates(scenario, args.n_max)
-        usable = next((i for i, r in enumerate(rates) if r <= 0), args.n_max)
+        usable = usable_segment_count(rates, diagnostic={"nu_w_per_m2": nu_w})
         for mu_f in mu_f_grid:
             delays = [mean_absorption_time(
-                build_level_dependent(n, rates[:n].tolist(), mu_f)).mean_delay_s
+                build_level_dependent(n, rates[:n].tolist(), mu_f))
                 for n in range(1, usable + 1)]
             best = delays.index(min(delays))
             rows.append([nu_w, mu_f, best + 1, delays[best]])
@@ -289,14 +295,8 @@ def cmd_contour(config: ScenarioConfig, args) -> int:
 
 def cmd_bias(config: ScenarioConfig, args) -> int:
     scenario = _scenario_overrides(config, args.scenario)
-    if not 0.0 < args.alpha_step <= 1.0:
-        raise ConfigError("alpha-step must lie in (0, 1]")
-    steps = int(round(1.0 / args.alpha_step))
-    alphas = [round(min(i * args.alpha_step, 1.0), 12) for i in range(steps + 1)]
-    if alphas[-1] != 1.0:
-        alphas.append(1.0)
-    points = bias_sweep(alphas, scenario.radio, scenario.deploy, scenario.task,
-                        scenario.mec, n_max=args.n_max)
+    points = bias_sweep(alpha_grid(args.alpha_step), scenario.radio, scenario.deploy,
+                        scenario.task, scenario.mec, n_max=args.n_max)
     alpha_star = min(points, key=lambda p: p.tau_alpha_s).alpha
     meta = _base_metadata("bias", config, args.seed)
     meta += [("scenario", args.scenario), ("alpha_star", alpha_star),
@@ -324,7 +324,7 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
                         arena_half_width_m=config.sim.arena_half_width_m)
     # small-sample mean checks need the 3-sigma-equivalent t quantile, since
     # the standard error is itself estimated from the replications
-    t_factor = float(stats.t.ppf(1.0 - 0.00135, reps - 1)) if reps > 1 else math.inf
+    t_factor = float(special.stdtrit(reps - 1, 1.0 - 0.00135)) if reps > 1 else math.inf
 
     # coverage, both selection rules, at the scenario threshold; the test
     # standard error comes from the analytic probability (known-null test),
@@ -350,11 +350,12 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
 
     # chain delays, all variants
     n_values = (1, 2, 4, 6)
+    lam = _random_rate(config)
     rates = _level_rates(config, max(n_values))
     for variant in ("random", "ordered", "ordered+failure"):
         for n in n_values:
-            model = _delay_model(config, variant, n, rates)
-            analytic = mean_absorption_time(model).mean_delay_s
+            model = _delay_model(config, variant, n, lam, rates)
+            analytic = mean_absorption_time(model)
             est = empirical_delay(sim_cfg, model, chunk_size=chunk)
             all_ok &= add(f"delay/{variant}/n={n}", analytic, est.mean_delay_s,
                           est.std_error_s, t_factor * est.std_error_s)

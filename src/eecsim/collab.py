@@ -32,6 +32,8 @@ __all__ = [
     "combined_delay",
     "bias_sweep",
     "optimal_bias",
+    "alpha_grid",
+    "usable_segment_count",
 ]
 
 # below this mean LoS worker count the edge tier is treated as unservable
@@ -85,6 +87,32 @@ class EecOperatingPoint:
     per_n_delay_s: tuple[float, ...]
 
 
+def usable_segment_count(rates, diagnostic: dict | None = None) -> int:
+    """Number of leading positive level rates: the largest n searchable.
+
+    Deep ranks can underflow to zero success mass, so the segment-count
+    search stops at the first zero rate.  When even the nearest worker's
+    rate is zero the edge tier cannot serve at all: UnservableError.
+    """
+    usable = next((i for i, rate in enumerate(rates) if rate <= 0.0), len(rates))
+    if usable == 0:
+        raise UnservableError(
+            "success probability of even the nearest worker is zero",
+            diagnostic=diagnostic)
+    return usable
+
+
+def alpha_grid(step: float) -> list[float]:
+    """Bias values 0, step, 2 step, ... up to and always including 1."""
+    if not 0.0 < step <= 1.0:
+        raise ParameterError(f"alpha grid step must lie in (0, 1], got {step!r}")
+    steps = int(round(1.0 / step))
+    alphas = [round(min(i * step, 1.0), 12) for i in range(steps + 1)]
+    if alphas[-1] != 1.0:
+        alphas.append(1.0)
+    return alphas
+
+
 def congested_worker_intensity(alpha: float, deploy: DeploymentParams,
                                mu_f: float) -> float:
     """Idle-worker intensity once a fraction alpha of requesters use the edge."""
@@ -125,20 +153,12 @@ def eec_delay_under_bias(alpha: float, radio: RadioParams, deploy: DeploymentPar
     query = CoverageQuery(radio, effective, RankedSelection(1))
     ps = ranked_success_probabilities(query, ks=range(1, n_max + 1), cfg=quad)
     rates = ps / task.d2d_slot_s
-    # deep ranks can underflow to zero success mass; cap the n search there
-    usable = n_max
-    for i, rate in enumerate(rates):
-        if rate <= 0.0:
-            usable = i
-            break
-    if usable == 0:
-        raise UnservableError(
-            "success probability of even the nearest worker underflows",
-            diagnostic={"alpha": alpha, "mean_los_workers": mass})
+    usable = usable_segment_count(
+        rates, diagnostic={"alpha": alpha, "mean_los_workers": mass})
     delays = []
     for n in range(1, usable + 1):
         model = build_level_dependent(n, rates[:n].tolist(), mu_f)
-        delays.append(mean_absorption_time(model).mean_delay_s)
+        delays.append(mean_absorption_time(model))
     best = min(range(usable), key=lambda i: delays[i])
     return EecOperatingPoint(
         delay_s=delays[best],
@@ -195,13 +215,8 @@ def optimal_bias(grid_step: float, radio: RadioParams, deploy: DeploymentParams,
                  task: TaskParams, mec: MecParams, n_max: int = 50,
                  quad: QuadratureConfig | None = None) -> BiasPoint:
     """Grid argmin of the blended objective; ties go to the smaller alpha."""
-    if not 0.0 < grid_step <= 1.0:
-        raise ParameterError("grid_step must lie in (0, 1]")
-    steps = int(round(1.0 / grid_step))
-    alphas = [round(min(i * grid_step, 1.0), 12) for i in range(steps + 1)]
-    if alphas[-1] != 1.0:
-        alphas.append(1.0)
-    points = bias_sweep(alphas, radio, deploy, task, mec, n_max=n_max, quad=quad)
+    points = bias_sweep(alpha_grid(grid_step), radio, deploy, task, mec,
+                        n_max=n_max, quad=quad)
     best = points[0]
     for p in points[1:]:
         if p.tau_alpha_s < best.tau_alpha_s:

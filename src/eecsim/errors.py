@@ -22,15 +22,6 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-class ChainStructureError(RuntimeError):
-    """An absorbing-chain model is structurally unusable (for example the
-    absorbing state is unreachable, or a transient state has no exit)."""
-
-    def __init__(self, message: str, states: tuple = ()):
-        super().__init__(message)
-        self.states = tuple(states)
-
-
 class UnservableError(RuntimeError):
     """The congestion-adjusted deployment leaves essentially no line-of-sight
     worker mass, so the edge tier cannot serve requests."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel
+from .chain import FAIL, ChainModel, transitions
 from .coverage import CoverageQuery, RandomSelection, RankedSelection
 from .errors import ParameterError
 from .params import DeploymentParams, RadioParams, directivity_distribution
@@ -332,32 +332,48 @@ class DelayEstimate:
 
 
 class _JumpTables:
-    """Flattened jump structure of a chain for fast trajectory sampling."""
+    """Flattened jump structure of a chain for fast trajectory sampling.
+
+    States get integer ids (``ids`` maps state to id) in the order a search
+    from the start state reaches them; each transient state keeps its exit
+    rate and the cumulative jump probabilities over
+    :func:`~eecsim.chain.transitions`.
+    """
 
     def __init__(self, model: ChainModel):
-        Q = model.generator
-        absorbing = set(model.absorbing_indices)
-        size = len(model.index)
-        self.total_rate = [0.0] * size
-        self.cum_probs: list[list[float]] = [[] for _ in range(size)]
-        self.targets: list[list[int]] = [[] for _ in range(size)]
-        for i in range(size):
-            if i in absorbing:
-                continue
-            rate = -Q[i, i]
-            self.total_rate[i] = rate
-            acc = 0.0
-            cum, tgt = [], []
-            for j in np.nonzero(Q[i] > 0.0)[0].tolist():
-                acc += Q[i, j] / rate
-                cum.append(acc)
-                tgt.append(j)
-            cum[-1] = 1.0
-            self.cum_probs[i] = cum
-            self.targets[i] = tgt
-        self.absorbing = absorbing
-        self.success = set(model.success_indices)
-        self.start = model.initial_index
+        self.ids = ids = {(0, 0, 0): 0}
+        pending = [(0, 0, 0)]
+        self.total_rate: list[float] = []
+        self.cum_probs: list[list[float]] = []
+        self.targets: list[list[int]] = []
+        self.absorbing: set[int] = set()
+        self.success: set[int] = set()
+        # ids are handed out in search order, so the lists stay aligned
+        for state in pending:
+            rate, cum, tgt = 0.0, [], []
+            if state == FAIL or state[0] == model.n:
+                self.absorbing.add(ids[state])
+                if state != FAIL:
+                    self.success.add(ids[state])
+            else:
+                moves = transitions(model, state)
+                # left to right on purpose: builtin sum() compensates on
+                # Python >= 3.12, which would move the exit rate by an ulp
+                for r, _ in moves:
+                    rate += r
+                acc = 0.0
+                for r, target in moves:
+                    if target not in ids:
+                        ids[target] = len(ids)
+                        pending.append(target)
+                    acc += r / rate
+                    cum.append(acc)
+                    tgt.append(ids[target])
+                cum[-1] = 1.0
+            self.total_rate.append(rate)
+            self.cum_probs.append(cum)
+            self.targets.append(tgt)
+        self.start = 0
 
 
 def _trajectory_rng(seed: int, replication: int) -> random.Random:

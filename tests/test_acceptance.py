@@ -118,17 +118,17 @@ def test_criterion_03_monte_carlo_coverage_agreement():
 
 
 def test_criterion_04_absorption_closed_forms():
-    got = mean_absorption_time(build_baseline(1, 1.0, 0.02)).mean_delay_s
+    got = mean_absorption_time(build_baseline(1, 1.0, 0.02))
     assert got == pytest.approx(1.0 / 1.0 + 1.0 / 0.02, abs=1e-9)
 
     # hand first-step value for n=2, lambda=1, mu_f=0.02 (39.0192 to 4 dp)
     hand = 1.0 + (1.0 + 37.5 + 0.04 * 26.0) / 1.04
-    got = mean_absorption_time(build_baseline(2, 1.0, 0.02)).mean_delay_s
+    got = mean_absorption_time(build_baseline(2, 1.0, 0.02))
     assert got == pytest.approx(hand, abs=1e-6)
     assert round(got, 4) == 39.0192
 
     for n in range(1, 6):
-        got = mean_absorption_time(build_baseline(n, 1e6, 0.02)).mean_delay_s
+        got = mean_absorption_time(build_baseline(n, 1e6, 0.02))
         want = sum(1.0 / i for i in range(1, n + 1)) / (n * 0.02)
         assert got == pytest.approx(want, rel=1e-3)
     print("\nACCEPTANCE 4: PASS (n=1 exact, n=2 hand value, harmonic limit)")
@@ -149,7 +149,7 @@ def test_criterion_05_chain_versus_trajectories():
                 model = build_level_dependent(n, rates[:n].tolist(), mu_f)
             else:
                 model = build_failure_chain(n, rates[:n].tolist(), mu_f, l)
-            analytic = mean_absorption_time(model).mean_delay_s
+            analytic = mean_absorption_time(model)
             est = empirical_delay(SimConfig(seed=MC_SEED, replications=MC_REPS), model)
             z = abs(est.mean_delay_s - analytic) / est.std_error_s
             worst = max(worst, z)
@@ -196,9 +196,9 @@ def test_criterion_08a_ordered_never_slower_than_random():
     lam = _random_rate()
     rates = _level_rates(12)
     for n in range(1, 13):
-        random_d = mean_absorption_time(build_baseline(n, lam, mu_f)).mean_delay_s
+        random_d = mean_absorption_time(build_baseline(n, lam, mu_f))
         ordered_d = mean_absorption_time(
-            build_level_dependent(n, rates[:n].tolist(), mu_f)).mean_delay_s
+            build_level_dependent(n, rates[:n].tolist(), mu_f))
         assert ordered_d <= random_d, n
     print("\nACCEPTANCE 8a: PASS (ordered <= random for n = 1..12)")
 
@@ -207,7 +207,7 @@ def test_criterion_08b_optimal_n_decreases_with_execution_rate():
     lam = _random_rate()
     argmins = []
     for mu_f in (0.005, 0.01, 0.05, 0.1):
-        delays = [mean_absorption_time(build_baseline(n, lam, mu_f)).mean_delay_s
+        delays = [mean_absorption_time(build_baseline(n, lam, mu_f))
                   for n in range(1, 51)]
         argmins.append(delays.index(min(delays)) + 1)
     assert all(b < a for a, b in zip(argmins, argmins[1:])), argmins
@@ -219,10 +219,10 @@ def test_criterion_08c_failures_slow_and_shift_optimum():
     l = SCENARIO.reliability.reliability_l
     rates = _level_rates(20)
     plain = [mean_absorption_time(
-        build_level_dependent(n, rates[:n].tolist(), mu_f)).mean_delay_s
+        build_level_dependent(n, rates[:n].tolist(), mu_f))
         for n in range(1, 21)]
     failing = [mean_absorption_time(
-        build_failure_chain(n, rates[:n].tolist(), mu_f, l)).mean_delay_s
+        build_failure_chain(n, rates[:n].tolist(), mu_f, l))
         for n in range(1, 21)]
     assert all(f >= p for f, p in zip(failing, plain))
     argmin_plain = plain.index(min(plain)) + 1
@@ -242,7 +242,7 @@ def test_criterion_08d_worker_scarcity_raises_delay():
         rates = _level_rates(20, deploy)
         usable = next((i for i, r in enumerate(rates) if r <= 0), 20)
         delays = [mean_absorption_time(
-            build_failure_chain(n, rates[:n].tolist(), mu_f, l)).mean_delay_s
+            build_failure_chain(n, rates[:n].tolist(), mu_f, l))
             for n in range(1, usable + 1)]
         results[scale] = (min(delays), delays.index(min(delays)) + 1)
     assert results[0.25][0] > results[1.0][0]

@@ -1,53 +1,94 @@
-from dataclasses import replace
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eecsim.chain import (
+    FAIL,
     build_baseline,
     build_failure_chain,
     build_level_dependent,
     completion_probability,
-    embedded_dtmc,
     mean_absorption_time,
-    sojourn_vector,
+    transitions,
     worker_idle_probability,
 )
-from eecsim.errors import ChainStructureError, ParameterError
+from eecsim.errors import ParameterError
+from eecsim.montecarlo import _JumpTables
 
 
 def closed_form_completion(n, l):
     return (n * n * l / (n * n * l + 1.0)) ** n
 
 
+def dense_oracle(model):
+    """Mean absorption time and success probability from (0, 0), by dense
+    linear solves on a rate matrix Q assembled here from the rules in the
+    ``eecsim.chain`` docstring, independently of its ``transitions``:
+    -Q_TT m = 1 and -Q_TT rho = (rates into the success states)."""
+    n, budget = model.n, model.spare_budget
+    mu_seg, gamma = model.segment_exec_rate, model.failure_rate_per_worker
+    failure_counts = range(1 if budget is None else budget + 1)
+    transient = [(f, c, u) for f in range(n) for c in range(n - f + 1)
+                 for u in failure_counts]
+    index = {s: i for i, s in enumerate(transient)}
+    Q = np.zeros((len(transient), len(transient)))
+    into_success = np.zeros(len(transient))
+    for (f, c, u), i in index.items():
+        moves = []
+        if f + c < n:
+            moves.append((model.offload_rates[c], (f, c + 1, u)))
+        if c > 0:
+            moves.append((c * mu_seg, (f + 1, c - 1, u)))
+        if c > 0 and gamma > 0.0:
+            if budget is None:
+                moves.append((c * gamma, (f, c - 1, u)))
+            elif u < budget:
+                moves.append((c * gamma, (f, c - 1, u + 1)))
+            else:
+                moves.append((c * gamma, None))  # into FAIL
+        for rate, target in moves:
+            Q[i, i] -= rate
+            if target in index:
+                Q[i, index[target]] += rate
+            elif target is not None:
+                into_success[i] += rate
+    # each row divided by its exit rate (the jump-chain form (I - P) x = b):
+    # unscaled, rates spread over decades cost up to 6e-12 relative error
+    exit_rates = -np.diag(Q)
+    A = -Q / exit_rates[:, None]
+    time = np.linalg.solve(A, 1.0 / exit_rates)
+    success = np.linalg.solve(A, into_success / exit_rates)
+    return time[0], success[0]
+
+
+def jump_row(model, state):
+    """Jump probabilities {target state: p} and exit rate at one state of
+    the simulator's jump tables (the embedded chain it runs on)."""
+    tables = _JumpTables(model)
+    states = {i: s for s, i in tables.ids.items()}
+    i = tables.ids[state]
+    probs = np.diff([0.0] + tables.cum_probs[i])
+    return ({states[j]: float(p) for j, p in zip(tables.targets[i], probs)},
+            tables.total_rate[i])
+
+
 class TestStateSpace:
     def test_smallest_chain(self):
         model = build_baseline(1, 1.0, 0.02)
-        assert model.index.states == ((0, 0), (0, 1), (1, 0))
-        Q = model.generator
-        assert Q[0, 1] == 1.0
-        assert Q[1, 2] == pytest.approx(0.02)
-        assert np.count_nonzero(Q) == 4  # two transitions plus two diagonals
-
-    def test_state_count_and_ordering(self):
-        model = build_baseline(2, 1.0, 0.02)
-        assert len(model.index) == 6
-        assert model.index.state_of(0) == (0, 0)
-        assert model.index.state_of(5) == (2, 0)  # absorbing state is last
-
-    def test_generator_conservation(self):
-        for n in (1, 2, 5, 9):
-            model = build_baseline(n, 0.7, 0.013)
-            sums = model.generator.sum(axis=1)
-            assert np.max(np.abs(sums)) < 1e-12
-            off = model.generator - np.diag(np.diag(model.generator))
-            assert np.min(off) >= 0.0
+        assert transitions(model, (0, 0, 0)) == [(1.0, (0, 1, 0))]
+        [(rate, target)] = transitions(model, (0, 1, 0))
+        assert rate == pytest.approx(0.02)
+        assert target == (1, 0, 0)
+        assert transitions(model, (1, 0, 0)) == []  # absorbing
 
     def test_exit_rate_interior_state(self):
         model = build_baseline(2, 0.9, 0.02)
-        i = model.index.index_of((0, 1))
         mu_seg = 2 * 0.02
-        assert -model.generator[i, i] == pytest.approx(0.9 + mu_seg, abs=1e-14)
+        exit_rate = sum(rate for rate, _ in transitions(model, (0, 1, 0)))
+        assert exit_rate == pytest.approx(0.9 + mu_seg, abs=1e-14)
 
     def test_rejects_zero_segments(self):
         with pytest.raises(ParameterError):
@@ -58,14 +99,12 @@ class TestLevelDependent:
     def test_equal_rates_match_baseline(self):
         base = build_baseline(4, 0.8, 0.05)
         level = build_level_dependent(4, [0.8] * 4, 0.05)
-        assert np.array_equal(base.generator, level.generator)
-        assert np.array_equal(base.embedded, level.embedded)
-        assert np.array_equal(base.sojourn, level.sojourn)
+        assert base == level
 
     def test_decreasing_rates_slow_the_chain(self):
         lam = [2.0, 1.0, 0.5]
-        level = mean_absorption_time(build_level_dependent(3, lam, 0.1)).mean_delay_s
-        best = mean_absorption_time(build_baseline(3, lam[0], 0.1)).mean_delay_s
+        level = mean_absorption_time(build_level_dependent(3, lam, 0.1))
+        best = mean_absorption_time(build_baseline(3, lam[0], 0.1))
         assert level >= best
 
     def test_wrong_rate_count_rejected(self):
@@ -78,12 +117,8 @@ class TestLevelDependent:
         # not the second
         lam = [2.0, 0.5]
         model = build_level_dependent(2, lam, 0.1)
-        i = model.index.index_of((1, 0))
-        j = model.index.index_of((1, 1))
-        assert model.generator[i, j] == lam[0]
-        i = model.index.index_of((0, 1))
-        j = model.index.index_of((0, 2))
-        assert model.generator[i, j] == lam[1]
+        assert (lam[0], (1, 1, 0)) in transitions(model, (1, 0, 0))
+        assert (lam[1], (0, 2, 0)) in transitions(model, (0, 1, 0))
 
 
 class TestFailureChain:
@@ -91,7 +126,8 @@ class TestFailureChain:
         lam = [1.5, 1.0, 0.7]
         level = build_level_dependent(3, lam, 0.04)
         failing = build_failure_chain(3, lam, 0.04, l=1e15)
-        assert np.allclose(level.generator, failing.generator, atol=1e-12)
+        assert mean_absorption_time(failing) == pytest.approx(
+            mean_absorption_time(level), rel=1e-12)
 
     def test_single_segment_first_step_oracle(self):
         # with one segment and unlimited spares: absorb after the executing
@@ -99,7 +135,7 @@ class TestFailureChain:
         lam, mu_f, l = 0.7, 0.05, 2.0
         gamma = mu_f / l
         model = build_failure_chain(1, [lam], mu_f, l)
-        got = mean_absorption_time(model).mean_delay_s
+        got = mean_absorption_time(model)
         want = 1.0 / lam + (1.0 + gamma / lam) / mu_f
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -109,84 +145,97 @@ class TestFailureChain:
                 lam = [1.0] * n
                 plain = mean_absorption_time(build_level_dependent(n, lam, 0.02))
                 failing = mean_absorption_time(build_failure_chain(n, lam, 0.02, l))
-                assert failing.mean_delay_s >= plain.mean_delay_s
+                assert failing >= plain
 
     def test_budget_state_space(self):
         model = build_failure_chain(2, [1.0, 1.0], 0.02, 1.0, spare_budget=1)
-        # 6 plain states x 2 budget levels + FAIL
-        assert len(model.index) == 13
-        assert model.fail_index == 12
-        assert model.index.state_of(0) == (0, 0, 0)
+        tables = _JumpTables(model)
+        # 6 plain states x 2 budget levels + FAIL, all reachable from the start
+        assert len(tables.ids) == 13
+        assert FAIL in tables.ids
+        assert tables.ids[0, 0, 0] == tables.start
+        assert transitions(model, (0, 1, 1)) == [
+            (1.0, (0, 2, 1)), (2 * 0.02, (1, 0, 1)), (0.02 / 2.0, FAIL)]
 
 
 class TestEmbedded:
+    """Jump probabilities of the simulator's embedded chain."""
+
     def test_rows_sum_to_one(self):
         model = build_failure_chain(3, [1.0, 0.8, 0.6], 0.03, 2.0, spare_budget=1)
-        P = embedded_dtmc(model)
-        assert np.max(np.abs(P.sum(axis=1) - 1.0)) < 1e-12
+        tables = _JumpTables(model)
+        for i, cum in enumerate(tables.cum_probs):
+            if i in tables.absorbing:
+                assert cum == []
+                continue
+            assert cum[-1] == 1.0
+            assert all(b > a for a, b in zip([0.0] + cum, cum))
 
     def test_fully_allocated_state_must_complete(self):
         model = build_baseline(3, 1.0, 0.02)
-        P = embedded_dtmc(model)
-        i = model.index.index_of((0, 3))
-        j = model.index.index_of((1, 2))
-        assert P[i, j] == pytest.approx(1.0, abs=1e-15)
+        probs, _ = jump_row(model, (0, 3, 0))
+        assert probs == {(1, 2, 0): 1.0}
 
     def test_symmetric_race(self):
         mu_f = 0.02
         model = build_baseline(2, 2 * mu_f, mu_f)  # lambda equals mu_seg
-        P = embedded_dtmc(model)
-        i = model.index.index_of((0, 1))
-        assert P[i, model.index.index_of((0, 2))] == pytest.approx(0.5)
-        assert P[i, model.index.index_of((1, 0))] == pytest.approx(0.5)
+        probs, _ = jump_row(model, (0, 1, 0))
+        assert probs[0, 2, 0] == pytest.approx(0.5)
+        assert probs[1, 0, 0] == pytest.approx(0.5)
 
     def test_zero_exit_transient_detected(self):
-        model = build_baseline(1, 1.0, 0.02)
-        Q = model.generator.copy()
-        Q[1, :] = 0.0  # strand the state (0, 1)
-        broken = replace(model, generator=Q)
-        with pytest.raises(ChainStructureError, match=r"\(0, 1\)"):
-            embedded_dtmc(broken)
+        # a transient state without exit needs a zero rate, which the
+        # builders reject before any solve or simulation can see it
+        with pytest.raises(ParameterError):
+            build_baseline(1, 0.0, 0.02)
+        with pytest.raises(ParameterError):
+            build_level_dependent(2, [1.0, 0.0], 0.02)
+        with pytest.raises(ParameterError):
+            build_failure_chain(2, [1.0, 1.0], 0.0, 1.0)
 
 
 class TestSojourn:
+    """Exit rates of the simulator's embedded chain (mean sojourn 1/rate)."""
+
     def test_initial_state(self):
         model = build_level_dependent(3, [0.5, 1.0, 2.0], 0.02)
-        w = sojourn_vector(model)
-        assert w[model.index.index_of((0, 0))] == pytest.approx(2.0)
+        _, rate = jump_row(model, (0, 0, 0))
+        assert 1.0 / rate == pytest.approx(2.0)
 
     def test_fully_allocated_state(self):
         n, mu_f = 4, 0.02
         model = build_baseline(n, 1.0, mu_f)
-        w = sojourn_vector(model)
+        _, rate = jump_row(model, (0, n, 0))
         mu_seg = n * mu_f
-        assert w[model.index.index_of((0, n))] == pytest.approx(1.0 / (n * mu_seg))
+        assert 1.0 / rate == pytest.approx(1.0 / (n * mu_seg))
 
     def test_failure_chain_exit_rates(self):
         n, mu_f, l = 3, 0.02, 2.0
         lam = [1.0, 0.8, 0.6]
         model = build_failure_chain(n, lam, mu_f, l)
-        w = sojourn_vector(model)
         gamma_n = mu_f / (l * n)
         mu_seg = n * mu_f
-        i = model.index.index_of((0, 1))
-        assert w[i] == pytest.approx(1.0 / (lam[1] + mu_seg + gamma_n), rel=1e-12)
+        _, rate = jump_row(model, (0, 1, 0))
+        assert 1.0 / rate == pytest.approx(1.0 / (lam[1] + mu_seg + gamma_n), rel=1e-12)
 
     def test_absorbing_sojourn_is_zero(self):
         model = build_baseline(2, 1.0, 0.02)
-        assert sojourn_vector(model)[model.index.index_of((2, 0))] == 0.0
+        tables = _JumpTables(model)
+        i = tables.ids[2, 0, 0]
+        assert i in tables.absorbing and i in tables.success
+        assert tables.total_rate[i] == 0.0
 
 
 class TestMeanAbsorption:
     def test_single_segment_closed_form(self):
-        got = mean_absorption_time(build_baseline(1, 1.0, 0.02)).mean_delay_s
+        got = mean_absorption_time(build_baseline(1, 1.0, 0.02))
         assert got == pytest.approx(51.0, abs=1e-9)
 
     def test_two_segment_hand_value(self):
         # first-step analysis with lambda=1, mu_seg=0.04:
         # t(0,2) = 1/0.08 + 1/0.04 = 37.5, t(1,0) = 1 + 1/0.04 = 26,
         # t(0,1) = (1 + 1*37.5 + 0.04*26) / 1.04, total = 1 + t(0,1)
-        got = mean_absorption_time(build_baseline(2, 1.0, 0.02)).mean_delay_s
+        got = mean_absorption_time(build_baseline(2, 1.0, 0.02))
         want = 1.0 + (1.0 + 37.5 + 0.04 * 26.0) / 1.04
         assert got == pytest.approx(want, abs=1e-9)
         assert round(got, 4) == 39.0192
@@ -196,49 +245,32 @@ class TestMeanAbsorption:
         # with instant offloading the delay is the max of n parallel
         # exponentials at the segment rate
         mu_f = 0.02
-        got = mean_absorption_time(build_baseline(n, 1e6, mu_f)).mean_delay_s
+        got = mean_absorption_time(build_baseline(n, 1e6, mu_f))
         want = sum(1.0 / i for i in range(1, n + 1)) / (n * mu_f)
         assert got == pytest.approx(want, rel=1e-3)
 
     def test_monotone_in_rates(self):
-        delays_lam = [mean_absorption_time(build_baseline(4, lam, 0.02)).mean_delay_s
+        delays_lam = [mean_absorption_time(build_baseline(4, lam, 0.02))
                       for lam in (0.25, 0.5, 1.0, 2.0)]
         assert all(b < a for a, b in zip(delays_lam, delays_lam[1:]))
-        delays_mu = [mean_absorption_time(build_baseline(4, 1.0, mu)).mean_delay_s
+        delays_mu = [mean_absorption_time(build_baseline(4, 1.0, mu))
                      for mu in (0.01, 0.02, 0.05, 0.1)]
         assert all(b < a for a, b in zip(delays_mu, delays_mu[1:]))
 
-    def test_remaining_time_vector_shape(self):
-        model = build_baseline(3, 1.0, 0.02)
-        result = mean_absorption_time(model)
-        assert result.per_state_expected_remaining.shape == (len(model.index),)
-        absorbing = model.index.index_of((3, 0))
-        assert result.per_state_expected_remaining[absorbing] == 0.0
-        # starting closer to absorption is never slower
-        assert result.per_state_expected_remaining[model.index.index_of((2, 1))] \
-            < result.mean_delay_s
-
     def test_agrees_with_generator_route(self):
-        # independent formulation: expected absorption times solve
-        # -Q_TT m = 1 on the rate matrix directly, bypassing the embedded
-        # chain and sojourn vector entirely
         model = build_failure_chain(4, [1.3, 1.0, 0.8, 0.6], 0.03, 2.0)
-        absorbing = set(model.absorbing_indices)
-        transient = [i for i in range(len(model.index)) if i not in absorbing]
-        Q_tt = model.generator[np.ix_(transient, transient)]
-        m = np.linalg.solve(-Q_tt, np.ones(len(transient)))
-        got = mean_absorption_time(model)
-        assert got.mean_delay_s == pytest.approx(m[0], rel=1e-10)
-        assert got.per_state_expected_remaining[transient] == pytest.approx(m, rel=1e-10)
+        want, _ = dense_oracle(model)
+        assert mean_absorption_time(model) == pytest.approx(want, rel=1e-12)
 
     def test_unreachable_absorption_detected(self):
-        model = build_baseline(1, 1.0, 0.02)
-        P = model.embedded.copy()
-        P[1, :] = 0.0
-        P[1, 0] = 1.0  # (0,1) bounces back forever, never absorbs
-        broken = replace(model, embedded=P)
-        with pytest.raises(ChainStructureError):
-            mean_absorption_time(broken)
+        # absorption is unreachable only if some rate is zero or not finite,
+        # which the builders reject
+        with pytest.raises(ParameterError):
+            build_baseline(1, math.inf, 0.02)
+        with pytest.raises(ParameterError):
+            build_level_dependent(1, [math.nan], 0.02)
+        with pytest.raises(ParameterError):
+            build_failure_chain(1, [1.0], 0.02, math.inf)
 
 
 class TestCompletionProbability:
@@ -272,16 +304,10 @@ class TestCompletionProbability:
             completion_probability(model)
 
     def test_agrees_with_rate_matrix_route(self):
-        # absorption split solved on the generator: -Q_TT rho = (rates into
-        # the success states), independent of the embedded-chain route
         model = build_failure_chain(3, [1.1, 0.9, 0.7], 0.04, 1.5, spare_budget=1)
-        absorbing = set(model.absorbing_indices)
-        transient = [i for i in range(len(model.index)) if i not in absorbing]
-        Q_tt = model.generator[np.ix_(transient, transient)]
-        into_success = model.generator[np.ix_(
-            transient, list(model.success_indices))].sum(axis=1)
-        rho = np.linalg.solve(-Q_tt, into_success)
-        assert completion_probability(model) == pytest.approx(rho[0], rel=1e-10)
+        want_time, want_success = dense_oracle(model)
+        assert completion_probability(model) == pytest.approx(want_success, abs=1e-12)
+        assert mean_absorption_time(model) == pytest.approx(want_time, rel=1e-12)
 
     def test_independent_of_offload_rates(self):
         # allocation always eventually succeeds, so only the per-segment
@@ -290,6 +316,41 @@ class TestCompletionProbability:
         fast = build_failure_chain(3, [5.0, 4.0, 3.0], 0.02, 1.0, spare_budget=0)
         assert completion_probability(slow) == pytest.approx(
             completion_probability(fast), abs=1e-12)
+
+
+@st.composite
+def chains(draw):
+    """Chain parameters across the model's range: rates over five decades,
+    reliability l from 0.1 to 100, unlimited or finite spare budgets."""
+    n = draw(st.integers(1, 12))
+    decades = st.floats(-3.0, 2.0)
+    rates = [10.0 ** draw(decades) for _ in range(n)]
+    mu_f = 10.0 ** draw(decades)
+    l = 10.0 ** draw(st.floats(-1.0, 2.0))
+    budget = draw(st.none() | st.integers(0, 10))
+    return n, rates, mu_f, l, budget
+
+
+class TestAgainstDenseOracle:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(chains(), st.floats(1.5, 10.0))
+    def test_level_solver_properties(self, params, scale):
+        n, rates, mu_f, l, budget = params
+        model = build_failure_chain(n, rates, mu_f, l, spare_budget=budget)
+        want_time, want_success = dense_oracle(model)
+        delay = mean_absorption_time(model)
+        assert delay == pytest.approx(want_time, rel=1e-12)
+        # every rate (offloading, execution, failure) scaled up together
+        faster = build_failure_chain(n, [scale * r for r in rates], scale * mu_f, l,
+                                     spare_budget=budget)
+        assert mean_absorption_time(faster) <= delay
+        if budget is None:
+            return
+        success = completion_probability(model)
+        assert success == pytest.approx(want_success, abs=1e-12)
+        assert 0.0 <= success <= 1.0
+        more_spares = build_failure_chain(n, rates, mu_f, l, spare_budget=budget + 1)
+        assert completion_probability(more_spares) >= success
 
 
 class TestWorkerIdle:

@@ -184,7 +184,20 @@ class TestContourCommand:
         assert fast < slow
 
 
+    def test_no_servable_worker_is_a_typed_error(self, capsys):
+        # no workers at all: every rank rate is zero
+        assert main(["contour", "--nu-w", "0", "--mu-f", "0.02"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestBiasCommand:
+    @pytest.mark.parametrize("step", ["0", "-0.1", "1.5"])
+    def test_bad_alpha_step_is_a_typed_error(self, step, capsys):
+        assert main(["bias", f"--alpha-step={step}", "--n-max", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_endpoints_equal_pure_systems(self, tmp_path):
         out = tmp_path / "bias.csv"
         assert main(["bias", "--alpha-step", "0.5", "--n-max", "10",

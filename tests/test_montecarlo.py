@@ -178,14 +178,14 @@ class TestTrajectories:
     def test_matches_absorption_analysis(self):
         model = build_baseline(4, 0.75, 0.02)
         est = empirical_delay(SimConfig(seed=6, replications=20_000), model)
-        analytic = mean_absorption_time(model).mean_delay_s
+        analytic = mean_absorption_time(model)
         assert abs(est.mean_delay_s - analytic) <= 3 * est.std_error_s
 
     def test_level_dependent_against_simulation(self):
         from eecsim.chain import build_level_dependent
         model = build_level_dependent(3, [2.0, 1.0, 0.5], 0.1)
         est = empirical_delay(SimConfig(seed=8, replications=20_000), model)
-        analytic = mean_absorption_time(model).mean_delay_s
+        analytic = mean_absorption_time(model)
         assert abs(est.mean_delay_s - analytic) <= 3 * est.std_error_s
 
     def test_completion_fraction_under_failures(self):
@@ -197,7 +197,7 @@ class TestTrajectories:
     def test_budget_chain_delay_matches_analysis(self):
         model = build_failure_chain(2, [0.9, 0.7], 0.05, 1.0, spare_budget=1)
         est = empirical_delay(SimConfig(seed=14, replications=20_000), model)
-        analytic = mean_absorption_time(model).mean_delay_s
+        analytic = mean_absorption_time(model)
         assert abs(est.mean_delay_s - analytic) <= 3 * est.std_error_s
         assert 0.0 < est.completion_fraction < 1.0
 
