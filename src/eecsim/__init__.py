@@ -37,6 +37,7 @@ from .coverage import (
     interference_exponent_nlos,
     ordered_distance_pdf,
     ranked_success_probabilities,
+    success_curves,
     success_probability,
     success_probability_random,
     success_probability_ranked,

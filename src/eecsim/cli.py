@@ -32,12 +32,17 @@ from .chain import (
 )
 from .collab import alpha_grid, bias_sweep, usable_segment_count
 from .config import ScenarioConfig, config_hash, load_config
-from .coverage import (
+# success_probability and ranked_success_probabilities are not called here;
+# they stay importable from eecsim.cli for callers and perfbench's tracing hooks
+from .coverage import (  # noqa: F401
     CoverageQuery,
     RandomSelection,
     RankedSelection,
+    ServingDensity,
     ranked_success_probabilities,
+    success_curves,
     success_probability,
+    success_table,
 )
 from .errors import ConfigError, ParameterError, QuadratureError, UnservableError
 from .montecarlo import SimConfig, empirical_delay, empirical_success_curve
@@ -154,15 +159,14 @@ def _scenario_overrides(config: ScenarioConfig, scenario: str) -> ScenarioConfig
     return replace(config, deploy=deploy, task=task, mec=mec)
 
 
-def _level_rates(config: ScenarioConfig, n_max: int) -> np.ndarray:
-    query = CoverageQuery(config.radio, config.deploy, RankedSelection(1))
-    ps = ranked_success_probabilities(query, ks=range(1, n_max + 1))
-    return ps / config.task.d2d_slot_s
+def _success(config: ScenarioConfig, densities) -> list:
+    """Success probability of each density at the scenario threshold.
 
-
-def _random_rate(config: ScenarioConfig) -> float:
-    query = CoverageQuery(config.radio, config.deploy, RandomSelection())
-    return success_probability(query) / config.task.d2d_slot_s
+    One engine call, so the kernel is shared by every density; divide by
+    the D2D slot for offloading rates.
+    """
+    table = success_table(config.radio, densities, [config.radio.sinr_threshold_db])
+    return [row[0] for row in table]
 
 
 def _delay_model(config: ScenarioConfig, variant: str, n: int, lam: float | None,
@@ -187,7 +191,8 @@ def cmd_coverage(config: ScenarioConfig, args) -> int:
     header = ["selection", "los_radius_m", "xi_db", "success_probability"]
     if args.simulate:
         header += ["simulated", "std_error", "resampled"]
-    for selection in selections:
+    analytic = success_curves(radio, config.deploy, selections, xi_grid)
+    for s, selection in enumerate(selections):
         sim = None
         if args.simulate and xi_grid:
             cfg = SimConfig(seed=args.seed, replications=args.reps,
@@ -195,10 +200,7 @@ def cmd_coverage(config: ScenarioConfig, args) -> int:
             sim = empirical_success_curve(
                 cfg, CoverageQuery(radio, config.deploy, selection), xi_grid)
         for i, xi in enumerate(xi_grid):
-            query = CoverageQuery(replace(radio, sinr_threshold_db=xi),
-                                  config.deploy, selection)
-            row = [_selection_name(selection), radio.los_radius_m, xi,
-                   success_probability(query)]
+            row = [_selection_name(selection), radio.los_radius_m, xi, analytic[s, i]]
             if args.simulate:
                 row += [sim[i].estimate, sim[i].std_error, sim[i].resampled_realizations]
             rows.append(row)
@@ -213,10 +215,15 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
         raise ConfigError("segment counts must be >= 1")
     variants = args.variant or ["ordered"]
     lam = rates = None
-    if "random" in variants and n_grid:
-        lam = _random_rate(config)
-    if any(v != "random" for v in variants) and n_grid:
-        rates = _level_rates(config, max(n_grid))
+    if n_grid:
+        # the random rate and the rank rates share the threshold: one call
+        want_random = "random" in variants
+        want_ranked = any(v != "random" for v in variants)
+        densities = ([ServingDensity(config.deploy)] if want_random else []) + (
+            [ServingDensity(config.deploy, range(1, max(n_grid) + 1))] if want_ranked else [])
+        found = [p / config.task.d2d_slot_s for p in _success(config, densities)]
+        lam = found[0] if want_random else None
+        rates = found[-1] if want_ranked else None
     header = ["variant", "n", "mean_delay_s", "is_optimal"]
     if args.simulate:
         header += ["simulated_mean_s", "std_error_s", "completion_fraction"]
@@ -253,7 +260,8 @@ def cmd_completion(config: ScenarioConfig, args) -> int:
         header += ["simulated_fraction", "std_error"]
     rows = []
     if n_grid:
-        rates = _level_rates(config, max(n_grid))
+        ranked = ServingDensity(config.deploy, range(1, max(n_grid) + 1))
+        rates = _success(config, [ranked])[0] / config.task.d2d_slot_s
         for l in l_values:
             for n in n_grid:
                 model = build_failure_chain(n, rates[:n].tolist(),
@@ -276,10 +284,11 @@ def cmd_contour(config: ScenarioConfig, args) -> int:
     nu_w_grid = _parse_grid(args.nu_w)
     mu_f_grid = _parse_grid(args.mu_f)
     rows = []
-    for nu_w in nu_w_grid:
-        scenario = replace(config, deploy=replace(config.deploy,
-                                                  worker_intensity_per_m2=nu_w))
-        rates = _level_rates(scenario, args.n_max)
+    # the kernel does not depend on the worker intensity: one call for the grid
+    densities = [ServingDensity(replace(config.deploy, worker_intensity_per_m2=nu_w),
+                                range(1, args.n_max + 1)) for nu_w in nu_w_grid]
+    for nu_w, ps in zip(nu_w_grid, _success(config, densities)):
+        rates = ps / config.task.d2d_slot_s
         usable = usable_segment_count(rates, diagnostic={"nu_w_per_m2": nu_w})
         for mu_f in mu_f_grid:
             delays = [mean_absorption_time(
@@ -326,12 +335,18 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     # the standard error is itself estimated from the replications
     t_factor = float(special.stdtrit(reps - 1, 1.0 - 0.00135)) if reps > 1 else math.inf
 
+    # every analytic success probability below, from one engine call
+    n_values = (1, 2, 4, 6)
+    p_random, p_nearest, p_levels = _success(config, [
+        ServingDensity(config.deploy), ServingDensity(config.deploy, (1,)),
+        ServingDensity(config.deploy, range(1, max(n_values) + 1))])
+
     # coverage, both selection rules, at the scenario threshold; the test
     # standard error comes from the analytic probability (known-null test),
     # which stays positive even when a tiny sample is all successes
-    for selection in (RandomSelection(), RankedSelection(1)):
+    for selection, analytic in ((RandomSelection(), p_random),
+                                (RankedSelection(1), float(p_nearest[0]))):
         query = CoverageQuery(config.radio, config.deploy, selection)
-        analytic = success_probability(query)
         est = empirical_success_curve(sim_cfg, query, [config.radio.sinr_threshold_db],
                                       chunk_size=chunk)[0]
         null_se = math.sqrt(analytic * (1.0 - analytic) / reps)
@@ -349,9 +364,8 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
                  req_c.std_error, abs(worker_c.estimate - req_c.estimate), "", "info", ""])
 
     # chain delays, all variants
-    n_values = (1, 2, 4, 6)
-    lam = _random_rate(config)
-    rates = _level_rates(config, max(n_values))
+    lam = p_random / config.task.d2d_slot_s
+    rates = p_levels / config.task.d2d_slot_s
     for variant in ("random", "ordered", "ordered+failure"):
         for n in n_values:
             model = _delay_model(config, variant, n, lam, rates)

@@ -74,6 +74,17 @@ class TestCoverageCommand:
         assert rows == []
         assert any("command: coverage" in line for line in meta)
 
+    @pytest.mark.parametrize("argv", [["coverage", "--xi", ""],
+                                      ["contour", "--nu-w", "", "--mu-f", "0.02"]])
+    def test_empty_grid_needs_no_convergent_radio(self, tmp_path, argv):
+        # nothing to integrate, so a divergent NLoS exponent is no error
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"radio": {"pathloss_exp_nlos": 2.0}}))
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert rows == []
+
     def test_default_grid_row_count(self, tmp_path):
         out = tmp_path / "cov.csv"
         assert main(["coverage", "--out", str(out)]) == 0
@@ -105,6 +116,21 @@ class TestCoverageCommand:
         sim = float(rows[0][header.index("simulated")])
         ana = float(rows[0][header.index("success_probability")])
         assert abs(sim - ana) < 0.1
+
+
+    def test_selection_rows_do_not_depend_on_the_batch(self, tmp_path):
+        alone, batch = tmp_path / "alone.csv", tmp_path / "batch.csv"
+        grid = "--xi=-20:15:2.5"
+        assert main(["coverage", grid, "--selection", "ranked:2", "--out", str(alone)]) == 0
+        assert main(["coverage", grid, "--selection", "random", "--selection", "ranked:1",
+                     "--selection", "ranked:2", "--selection", "ranked:4",
+                     "--out", str(batch)]) == 0
+        alone_rows = [line for line in alone.read_text().splitlines()
+                      if line.startswith("ranked:2,")]
+        batch_rows = [line for line in batch.read_text().splitlines()
+                      if line.startswith("ranked:2,")]
+        assert len(alone_rows) == 15
+        assert alone_rows == batch_rows
 
 
 class TestDelayCommand:

@@ -1,23 +1,34 @@
+import contextlib
+import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from eecsim import coverage
+from eecsim.cli import main
 from eecsim.coverage import (
     CoverageQuery,
     QuadratureConfig,
+    RandomSelection,
     RankedSelection,
+    ServingDensity,
     interference_exponent_los,
     interference_exponent_nlos,
     ordered_distance_pdf,
     ranked_success_probabilities,
+    success_curves,
+    success_probability,
     success_probability_random,
     success_probability_ranked,
+    success_table,
     worker_availability_mass,
 )
 from eecsim.errors import ParameterError, QuadratureError
-from eecsim.params import DeploymentParams, alzer_eta, directivity_distribution
+from eecsim.params import DeploymentParams, alzer_eta, db_to_linear, directivity_distribution
 
 # Reference success probabilities for the default deployment, used as
 # validated anchors (tolerance 5e-3).
@@ -233,3 +244,139 @@ class TestAvailabilityMass:
         got = worker_availability_mass(30, deploy, 100.0)
         assert got == pytest.approx(tail, abs=1e-12)
         assert got == pytest.approx(0.05998, abs=5e-5)
+
+
+def per_quantity(radio, density, xi_db, cfg):
+    """One quantity refined on its own: the doubling rule on the kernel, no sharing.
+
+    Returns the clipped value (a float for random selection, an array over
+    the ranks otherwise) or raises QuadratureError at ``cfg.max_nodes``.
+    """
+    rl = radio.los_radius_m
+    nu_r = density.deploy.requester_intensity_per_m2
+    xi = db_to_linear(xi_db)
+
+    def value(n):
+        r0, w0 = coverage._gauss_nodes(n, 0.0, rl)
+        kern = coverage._kernel(r0, radio, nu_r, xi, 2 * n)
+        if density.ranks is None:
+            return float((kern * (2.0 * r0 / rl ** 2) * w0).sum())
+        dens = np.stack([ordered_distance_pdf(k, r0, density.deploy, rl)
+                         for k in density.ranks])
+        return dens @ (kern * w0)
+
+    n = cfg.start_nodes
+    prev = value(n)
+    change = math.inf
+    while n < cfg.max_nodes:
+        n *= 2
+        cur = value(n)
+        change = float(np.max(np.abs(cur - prev)))
+        if change <= cfg.rel_tol * float(np.max(np.abs(cur))) + cfg.abs_tol:
+            return np.clip(cur, 0.0, 1.0)
+        prev = cur
+    raise QuadratureError("per-quantity refinement did not converge", achieved=change)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Serving-distance counts of every kernel evaluation, in call order."""
+    calls = []
+    original = coverage._kernel
+
+    def counting(r0, *args):
+        calls.append(r0.size)
+        return original(r0, *args)
+
+    monkeypatch.setattr(coverage, "_kernel", counting)
+    return calls
+
+
+_selection = st.one_of(st.just(RandomSelection()),
+                       st.builds(RankedSelection, st.integers(1, 8)))
+
+
+class TestEngine:
+    # max_nodes=512 keeps every example cheap; examples that need more nodes
+    # must then fail the same way in both routes
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(xis=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
+           rl=st.floats(10.0, 1000.0),
+           log_nu_w=st.floats(-6.0, -2.0),
+           log_nu_r=st.floats(-6.0, -2.0),
+           selections=st.lists(_selection, min_size=1, max_size=4),
+           block=st.integers(1, 8))
+    def test_batch_matches_per_quantity_loop(self, radio, xis, rl, log_nu_w, log_nu_r,
+                                             selections, block):
+        cfg = QuadratureConfig(max_nodes=512)
+        radio = replace(radio, los_radius_m=rl)
+        deploy = DeploymentParams(10.0 ** log_nu_w, 10.0 ** log_nu_r)
+        densities = [ServingDensity(deploy) if isinstance(s, RandomSelection)
+                     else ServingDensity(deploy, (s.rank,)) for s in selections]
+        densities.append(ServingDensity(deploy, range(1, block + 1)))
+        try:
+            want = [[per_quantity(radio, d, xi, cfg) for xi in xis] for d in densities]
+        except QuadratureError:
+            with pytest.raises(QuadratureError):
+                success_table(radio, densities, xis, cfg)
+            return
+        got = success_table(radio, densities, xis, cfg)
+        for got_row, want_row in zip(got, want):
+            for g, w in zip(got_row, want_row):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+        curves = success_curves(radio, deploy, selections, xis, cfg)
+        scalars = [[float(np.ravel(p)[0]) for p in row] for row in got[:-1]]
+        assert curves.tolist() == scalars
+
+    @pytest.mark.parametrize("argv,calls", [
+        # 36 thresholds, each converged at 64 -> 128 nodes for all four
+        # selections: one kernel per threshold and node count
+        (["coverage", "--selection", "random", "--selection", "ranked:1",
+          "--selection", "ranked:2", "--selection", "ranked:4"], 72),
+        # the random rate and the rank vector share one threshold
+        (["delay", "--n", "1:12:1", "--variant", "random", "--variant", "ordered",
+          "--variant", "ordered+failure"], 2),
+        # the kernel does not depend on the worker intensity
+        (["contour", "--nu-w", "1e-4,3e-4,7e-4", "--mu-f", "0.02"], 2),
+    ])
+    def test_one_kernel_per_threshold_and_node_count(self, kernel_calls, argv, calls):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        assert len(kernel_calls) == calls
+        assert sorted(set(kernel_calls)) == [64, 128]
+
+    def test_divergent_regime_fails_typed(self, radio, deploy):
+        q = CoverageQuery(replace(radio, pathloss_exp_nlos=2.2), deploy)
+        with pytest.raises(QuadratureError) as info:
+            success_probability(q, QuadratureConfig(max_nodes=256))
+        assert info.value.achieved is not None and math.isfinite(info.value.achieved)
+
+    def test_kernel_rows_in_bounded_blocks(self, radio, deploy):
+        r0, _ = coverage._gauss_nodes(2048, 0.0, radio.los_radius_m)
+        args = (radio, deploy.requester_intensity_per_m2, radio.sinr_threshold, 4096)
+        # build the cached inner nodes first: only the kernel's own
+        # temporaries count against the bound
+        coverage._gauss_nodes(4096, 0.0, 1.0)
+        tracemalloc.start()
+        try:
+            whole = coverage._kernel(r0, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (2048 x 4096) float64 temporary alone would be 64 MiB
+        assert peak < 4 * 2 ** 20
+        # chunks that straddle the row blocks: no row depends on its neighbours
+        step = 99
+        chunks = [coverage._kernel(r0[lo:lo + step], *args) for lo in range(0, r0.size, step)]
+        assert np.array_equal(whole, np.concatenate(chunks))
+
+    def test_densities_must_share_requester_intensity(self, radio, deploy):
+        other = replace(deploy, requester_intensity_per_m2=2 * deploy.requester_intensity_per_m2)
+        with pytest.raises(ParameterError):
+            success_table(radio, [ServingDensity(deploy), ServingDensity(other)], [5.0])
+
+    @pytest.mark.parametrize("ranks", [(), (0,), (1, 2.0)])
+    def test_bad_rank_blocks_rejected(self, deploy, ranks):
+        with pytest.raises(ParameterError):
+            ServingDensity(deploy, ranks)
