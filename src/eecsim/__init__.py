@@ -39,8 +39,6 @@ from .coverage import (
     ranked_success_probabilities,
     success_curves,
     success_probability,
-    success_probability_random,
-    success_probability_ranked,
     worker_availability_mass,
 )
 from .errors import (
@@ -52,16 +50,10 @@ from .errors import (
 from .montecarlo import (
     CoverageEstimate,
     DelayEstimate,
-    NetworkRealization,
     SimConfig,
-    TrajectoryOutcome,
     default_arena_radius,
     empirical_delay,
     empirical_success_curve,
-    empirical_success_probability,
-    link_sinr,
-    sample_network,
-    simulate_task_trajectory,
 )
 from .params import (
     DeploymentParams,

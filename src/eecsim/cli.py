@@ -30,18 +30,14 @@ from .chain import (
     mean_absorption_time,
     worker_idle_probability,
 )
-from .collab import alpha_grid, bias_sweep, usable_segment_count
+from .collab import alpha_grid, best_segmentation, bias_sweep
 from .config import ScenarioConfig, config_hash, load_config
-# success_probability and ranked_success_probabilities are not called here;
-# they stay importable from eecsim.cli for callers and perfbench's tracing hooks
-from .coverage import (  # noqa: F401
+from .coverage import (
     CoverageQuery,
     RandomSelection,
     RankedSelection,
     ServingDensity,
-    ranked_success_probabilities,
     success_curves,
-    success_probability,
     success_table,
 )
 from .errors import ConfigError, ParameterError, QuadratureError, UnservableError
@@ -289,13 +285,9 @@ def cmd_contour(config: ScenarioConfig, args) -> int:
                                 range(1, args.n_max + 1)) for nu_w in nu_w_grid]
     for nu_w, ps in zip(nu_w_grid, _success(config, densities)):
         rates = ps / config.task.d2d_slot_s
-        usable = usable_segment_count(rates, diagnostic={"nu_w_per_m2": nu_w})
-        for mu_f in mu_f_grid:
-            delays = [mean_absorption_time(
-                build_level_dependent(n, rates[:n].tolist(), mu_f))
-                for n in range(1, usable + 1)]
-            best = delays.index(min(delays))
-            rows.append([nu_w, mu_f, best + 1, delays[best]])
+        best = best_segmentation(rates, mu_f_grid, diagnostic={"nu_w_per_m2": nu_w})
+        for mu_f, (best_n, delays) in zip(mu_f_grid, best):
+            rows.append([nu_w, mu_f, best_n, delays[best_n - 1]])
     meta = _base_metadata("contour", config, args.seed)
     _write_csv(args.out, meta, ["nu_w_per_m2", "mu_f_per_s", "optimal_n",
                                 "mean_delay_s"], rows)

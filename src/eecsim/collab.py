@@ -34,6 +34,7 @@ __all__ = [
     "optimal_bias",
     "alpha_grid",
     "usable_segment_count",
+    "best_segmentation",
 ]
 
 # below this mean LoS worker count the edge tier is treated as unservable
@@ -102,6 +103,23 @@ def usable_segment_count(rates, diagnostic: dict | None = None) -> int:
     return usable
 
 
+def best_segmentation(rates, mu_f_values,
+                      diagnostic: dict | None = None) -> list[tuple[int, tuple[float, ...]]]:
+    """Optimal segment count and the mean delay for every searchable count.
+
+    For each failure rate in ``mu_f_values``, solves the level-dependent
+    chain for n = 1..usable (see :func:`usable_segment_count`, checked once
+    for all of them); the optimum is the first minimizing n.
+    """
+    usable = usable_segment_count(rates, diagnostic)
+    out = []
+    for mu_f in mu_f_values:
+        delays = tuple(mean_absorption_time(build_level_dependent(n, rates[:n].tolist(), mu_f))
+                       for n in range(1, usable + 1))
+        out.append((delays.index(min(delays)) + 1, delays))
+    return out
+
+
 def alpha_grid(step: float) -> list[float]:
     """Bias values 0, step, 2 step, ... up to and always including 1."""
     if not 0.0 < step <= 1.0:
@@ -152,20 +170,14 @@ def eec_delay_under_bias(alpha: float, radio: RadioParams, deploy: DeploymentPar
                         "mean_los_workers": mass})
     query = CoverageQuery(radio, effective, RankedSelection(1))
     ps = ranked_success_probabilities(query, ks=range(1, n_max + 1), cfg=quad)
-    rates = ps / task.d2d_slot_s
-    usable = usable_segment_count(
-        rates, diagnostic={"alpha": alpha, "mean_los_workers": mass})
-    delays = []
-    for n in range(1, usable + 1):
-        model = build_level_dependent(n, rates[:n].tolist(), mu_f)
-        delays.append(mean_absorption_time(model))
-    best = min(range(usable), key=lambda i: delays[i])
+    [(best_n, delays)] = best_segmentation(
+        ps / task.d2d_slot_s, [mu_f], diagnostic={"alpha": alpha, "mean_los_workers": mass})
     return EecOperatingPoint(
-        delay_s=delays[best],
-        optimal_n=best + 1,
+        delay_s=delays[best_n - 1],
+        optimal_n=best_n,
         idle_worker_intensity=idle_intensity,
         mean_los_workers=mass,
-        per_n_delay_s=tuple(delays),
+        per_n_delay_s=delays,
     )
 
 

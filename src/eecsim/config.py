@@ -66,7 +66,7 @@ def preset(name: str = "table1") -> ScenarioConfig:
             worker_intensity_per_m2=7e-4,
             requester_intensity_per_m2=1e-4,
         ),
-        task=TaskParams(segments=6, task_exec_rate_per_s=0.02, d2d_slot_s=1.0),
+        task=TaskParams(task_exec_rate_per_s=0.02, d2d_slot_s=1.0),
         reliability=ReliabilityParams(reliability_l=3.0, spare_budget=None),
         # one extra uplink attempt on average for the round trip to the server
         mec=MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.02,

@@ -54,8 +54,6 @@ __all__ = [
     "interference_exponent_nlos",
     "success_curves",
     "success_probability",
-    "success_probability_random",
-    "success_probability_ranked",
     "ranked_success_probabilities",
     "ordered_distance_pdf",
     "worker_availability_mass",
@@ -394,7 +392,9 @@ def success_curves(radio: RadioParams, deploy: DeploymentParams, selections,
                    xi_db_values, cfg: QuadratureConfig = _DEFAULT_QUAD) -> np.ndarray:
     """Success probability per selection rule (rows) and threshold in dB (columns).
 
-    Rank-k entries are unnormalized, as in :func:`success_probability_ranked`.
+    Rank-k entries are unnormalized: each includes the probability that at
+    least k workers exist.  Divide by :func:`worker_availability_mass` for the
+    conditional success probability.
     """
     densities = []
     for selection in selections:
@@ -418,32 +418,12 @@ def success_probability(q: CoverageQuery, cfg: QuadratureConfig = _DEFAULT_QUAD)
                                 [q.radio.sinr_threshold_db], cfg)[0, 0])
 
 
-def success_probability_random(q: CoverageQuery,
-                               cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
-    """Offloading success probability for a uniformly random LoS worker."""
-    if not isinstance(q.selection, RandomSelection):
-        raise ParameterError("query selection must be RandomSelection")
-    return success_probability(q, cfg)
-
-
-def success_probability_ranked(k: int, q: CoverageQuery,
-                               cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
-    """Offloading success probability for the k-th nearest LoS worker.
-
-    Returned unnormalized: the value includes the probability that at least
-    k workers exist.  Divide by :func:`worker_availability_mass` for the
-    conditional success probability.
-    """
-    if isinstance(q.selection, RankedSelection) and q.selection.rank != k:
-        raise ParameterError(f"query selection rank {q.selection.rank} != requested k={k}")
-    return float(ranked_success_probabilities(q, ks=(k,), cfg=cfg)[0])
-
-
 def ranked_success_probabilities(q: CoverageQuery, ks,
                                  cfg: QuadratureConfig = _DEFAULT_QUAD) -> np.ndarray:
     """Success probabilities for several ranks at once, refined as one vector.
 
-    The query's own selection is not used; ``ks`` lists the ranks.
+    The query's own selection is not used; ``ks`` lists the ranks.  Values
+    are unnormalized, as in :func:`success_curves`.
     """
     density = ServingDensity(q.deploy, ks)
     return success_table(q.radio, [density], [q.radio.sinr_threshold_db], cfg)[0][0]

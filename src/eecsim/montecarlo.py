@@ -1,10 +1,11 @@
 """Independent stochastic oracle for the analytic modules.
 
-Spatial side: samples Poisson network realizations, evaluates per-link SINR
-with sectored-antenna alignment and Nakagami fading, and estimates the
-offloading success probability empirically.  Temporal side: simulates
-trajectories of any :class:`~eecsim.chain.ChainModel` by exponential races
-and estimates absorption delay and completion fractions.
+Spatial side: one sampler, :func:`_rep_sinr`, draws a Poisson network per
+replication and returns the serving link's SINR under sectored-antenna
+alignment, blockage and Nakagami fading; :func:`empirical_success_curve`
+compares it with every threshold.  Temporal side: :func:`empirical_delay`
+simulates trajectories of any :class:`~eecsim.chain.ChainModel` by
+exponential races and estimates absorption delay and completion fractions.
 
 Reproducibility contract: every replication draws from its own
 counter-based stream derived from (master seed, replication index, purpose),
@@ -28,16 +29,10 @@ from .params import DeploymentParams, RadioParams, directivity_distribution
 
 __all__ = [
     "SimConfig",
-    "NetworkRealization",
     "CoverageEstimate",
     "DelayEstimate",
-    "TrajectoryOutcome",
     "default_arena_radius",
-    "sample_network",
-    "link_sinr",
-    "empirical_success_probability",
     "empirical_success_curve",
-    "simulate_task_trajectory",
     "empirical_delay",
 ]
 
@@ -91,104 +86,9 @@ def default_arena_radius(radio: RadioParams, deploy: DeploymentParams) -> float:
     return min(max(floor, tail_radius), 100.0 * rl)
 
 
-@dataclass(frozen=True)
-class NetworkRealization:
-    """One sampled network with all per-link randomness drawn up front.
-
-    The typical requester sits at the origin.  Candidate workers cover the
-    LoS disk (the only region a serving link may use); interfering
-    requesters cover the arena disk.  Fading is drawn for both possible
-    blockage classes of every interferer so the realization is independent
-    of which worker ends up serving.
-    """
-
-    worker_points: np.ndarray          # (n_w, 2)
-    requester_points: np.ndarray       # (n_r, 2)
-    serving_fades: np.ndarray          # (n_w,), unit-mean gamma, LoS shape
-    interferer_gains: np.ndarray       # (n_r,), sectored alignment draws
-    interferer_fades_los: np.ndarray   # (n_r,), unit-mean gamma, LoS shape
-    interferer_fades_nlos: np.ndarray  # (n_r,), unit-mean gamma, NLoS shape
-    arena_radius_m: float
-
-
-def _spatial_rng(seed: int, replication: int) -> np.random.Generator:
+def _spatial_key(seed: int, replication: int) -> np.ndarray:
     ss = np.random.SeedSequence((seed, replication, _PURPOSE_SPATIAL))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def _disk_points(rng, intensity, radius) -> np.ndarray:
-    count = rng.poisson(intensity * math.pi * radius * radius) if intensity > 0 else 0
-    radii = radius * np.sqrt(rng.random(count))
-    angles = 2.0 * math.pi * rng.random(count)
-    return np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-
-
-def _draw_realization(rng, deploy: DeploymentParams, radio: RadioParams,
-                      arena_radius: float) -> NetworkRealization:
-    workers = _disk_points(rng, deploy.worker_intensity_per_m2, radio.los_radius_m)
-    requesters = _disk_points(rng, deploy.requester_intensity_per_m2, arena_radius)
-    n_l = radio.nakagami_los
-    n_n = radio.nakagami_nlos
-    serving_fades = rng.standard_gamma(n_l, len(workers)) / n_l
-    pairs = directivity_distribution(radio)
-    gains = np.array([g for g, _ in pairs])
-    cum = np.cumsum([p for _, p in pairs])
-    picks = np.searchsorted(cum, rng.random(len(requesters)), side="right")
-    interferer_gains = gains[np.minimum(picks, 3)]
-    fades_los = rng.standard_gamma(n_l, len(requesters)) / n_l
-    fades_nlos = rng.standard_gamma(n_n, len(requesters)) / n_n
-    return NetworkRealization(
-        worker_points=workers,
-        requester_points=requesters,
-        serving_fades=serving_fades,
-        interferer_gains=interferer_gains,
-        interferer_fades_los=fades_los,
-        interferer_fades_nlos=fades_nlos,
-        arena_radius_m=arena_radius,
-    )
-
-
-def sample_network(seed: int, deploy: DeploymentParams, radio: RadioParams,
-                   arena_radius_m: float | None = None) -> NetworkRealization:
-    """Deterministically sample one network realization for the given seed."""
-    radius = arena_radius_m if arena_radius_m is not None else default_arena_radius(radio, deploy)
-    return _draw_realization(_spatial_rng(seed, 0), deploy, radio, radius)
-
-
-def link_sinr(realization: NetworkRealization, worker_index: int, radio: RadioParams,
-              los_classification: str = "worker") -> float:
-    """SINR of the link from the origin requester to one candidate worker.
-
-    ``los_classification`` selects whose position classifies interferers as
-    LoS or NLoS: ``"worker"`` (the receiver, matching the analysis geometry)
-    or ``"requester"`` (the origin).
-    """
-    if los_classification not in ("worker", "requester"):
-        raise ParameterError(f"unknown los_classification {los_classification!r}")
-    w = realization.worker_points[worker_index]
-    r0 = float(np.hypot(w[0], w[1]))
-    if r0 > radio.los_radius_m:
-        raise ParameterError("serving worker must lie inside the LoS radius")
-    aligned = radio.main_lobe * radio.main_lobe
-    signal = (realization.serving_fades[worker_index] * aligned
-              * radio.intercept_los * r0 ** (-radio.pathloss_exp_los))
-    pts = realization.requester_points
-    if len(pts):
-        anchor = w if los_classification == "worker" else np.zeros(2)
-        dist = np.hypot(pts[:, 0] - anchor[0], pts[:, 1] - anchor[1])
-        los = dist <= radio.los_radius_m
-        gains = realization.interferer_gains
-        power = np.where(
-            los,
-            realization.interferer_fades_los * gains * radio.intercept_los
-            * dist ** (-radio.pathloss_exp_los),
-            realization.interferer_fades_nlos * gains * radio.intercept_nlos
-            * dist ** (-radio.pathloss_exp_nlos),
-        )
-        interference = float(power.sum())
-    else:
-        interference = 0.0
-    return signal / (radio.noise_normalized + interference)
+    return ss.generate_state(2, np.uint64)
 
 
 @dataclass(frozen=True)
@@ -205,10 +105,12 @@ def _rep_sinr(rng, radio: RadioParams, deploy: DeploymentParams, selection,
               worker_centric: bool):
     """One replication's serving-link SINR, or None if no worker qualifies.
 
-    Trimmed-down draw path for the estimator loop: only the serving worker's
-    fade and each interferer's actually-relevant blockage-class fade are
-    sampled.  The serving worker is placed on the x-axis, which is
-    distribution-preserving because the interferer field is isotropic.
+    The typical requester sits at the origin; workers cover the LoS disk
+    (the only region a serving link may use) and interfering requesters the
+    arena disk.  Only the serving worker's fade and each interferer's fade
+    for its blockage class are drawn.  The serving worker is placed on the
+    x-axis, which is distribution-preserving because the interferer field is
+    isotropic.
     """
     rl = radio.los_radius_m
     mean_workers = deploy.mean_los_workers(rl)
@@ -285,9 +187,16 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     reps = cfg.replications
     if chunk_size < 1:
         raise ParameterError("chunk_size must be >= 1")
+    # one generator for the whole run, rewound to each replication's own
+    # stream (Philox keyed by _spatial_key, counter at zero): the same draws
+    # as a fresh generator per replication, without building one
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
     for start in range(0, reps, chunk_size):
         for rep in range(start, min(start + chunk_size, reps)):
-            rng = _spatial_rng(cfg.seed, rep)
+            state["state"]["key"] = _spatial_key(cfg.seed, rep)
+            bitgen.state = state
             attempts = 0
             while True:
                 sinr = _rep_sinr(rng, radio, deploy, selection, arena,
@@ -308,19 +217,6 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
         out.append(CoverageEstimate(estimate=p, std_error=se, replications=reps,
                                     resampled_realizations=resampled, xi_db=xi_db))
     return out
-
-
-def empirical_success_probability(cfg: SimConfig, query: CoverageQuery,
-                                  los_classification: str = "worker") -> CoverageEstimate:
-    """Binomial estimate of the offloading success probability."""
-    return empirical_success_curve(
-        cfg, query, [query.radio.sinr_threshold_db], los_classification)[0]
-
-
-@dataclass(frozen=True)
-class TrajectoryOutcome:
-    delay_s: float
-    completed: bool
 
 
 @dataclass(frozen=True)
@@ -382,7 +278,8 @@ def _trajectory_rng(seed: int, replication: int) -> random.Random:
     return random.Random((int(words[0]) << 64) | int(words[1]))
 
 
-def _run_trajectory(tables: _JumpTables, rng: random.Random) -> TrajectoryOutcome:
+def _run_trajectory(tables: _JumpTables, rng: random.Random) -> tuple[float, bool]:
+    """One exponential-race trajectory, absorbed: (delay, completed)."""
     state = tables.start
     t = 0.0
     while state not in tables.absorbing:
@@ -394,12 +291,7 @@ def _run_trajectory(tables: _JumpTables, rng: random.Random) -> TrajectoryOutcom
         while cum[pick] < u:
             pick += 1
         state = tables.targets[state][pick]
-    return TrajectoryOutcome(delay_s=t, completed=state in tables.success)
-
-
-def simulate_task_trajectory(seed: int, model: ChainModel) -> TrajectoryOutcome:
-    """One exponential-race trajectory of the chain, absorbed to the end."""
-    return _run_trajectory(_JumpTables(model), _trajectory_rng(seed, 0))
+    return t, state in tables.success
 
 
 def empirical_delay(cfg: SimConfig, model: ChainModel,
@@ -418,9 +310,9 @@ def empirical_delay(cfg: SimConfig, model: ChainModel,
     completed = 0
     for start in range(0, reps, chunk_size):
         for rep in range(start, min(start + chunk_size, reps)):
-            outcome = _run_trajectory(tables, _trajectory_rng(cfg.seed, rep))
-            delays.append(outcome.delay_s)
-            completed += outcome.completed
+            delay, done = _run_trajectory(tables, _trajectory_rng(cfg.seed, rep))
+            delays.append(delay)
+            completed += done
     mean = math.fsum(delays) / reps
     if reps > 1:
         var = math.fsum((d - mean) ** 2 for d in delays) / (reps - 1)

@@ -1,8 +1,8 @@
 """Physical-model parameters and the unit conversions shared by every module.
 
 All user-facing quantities keep the units they are usually quoted in
-(dB, dBi, meters, points/m^2).  Derived linear-domain values are computed
-once at construction time; downstream formulas never mix domains.
+(dB, dBi, meters, points/m^2).  Derived linear-domain values are read
+through properties; downstream formulas never mix domains.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class RadioParams:
             if not math.isfinite(float(getattr(self, f.name))):
                 raise ParameterError(f"{f.name} must be finite")
 
-    # Linear-domain views, converted exactly once per instance.
+    # Linear-domain views, converted on every read.
     @property
     def sinr_threshold(self) -> float:
         return db_to_linear(self.sinr_threshold_db)
@@ -143,27 +143,21 @@ class DeploymentParams:
 
 @dataclass(frozen=True)
 class TaskParams:
-    """Task segmentation and timing parameters.
+    """Task execution and timing parameters.
 
     ``task_exec_rate_per_s`` is the whole-task rate on a single worker; one
     of n equal segments therefore executes at rate ``n * task_exec_rate_per_s``.
+    The segment count n is not a parameter: each command sweeps it.
     """
 
-    segments: int
     task_exec_rate_per_s: float
     d2d_slot_s: float
 
     def __post_init__(self):
-        if not isinstance(self.segments, int) or isinstance(self.segments, bool) or self.segments < 1:
-            raise ParameterError(f"segments must be an integer >= 1, got {self.segments!r}")
         if self.task_exec_rate_per_s <= 0:
             raise ParameterError("task_exec_rate_per_s must be positive")
         if self.d2d_slot_s <= 0:
             raise ParameterError("d2d_slot_s must be positive")
-
-    @property
-    def segment_exec_rate(self) -> float:
-        return self.segments * self.task_exec_rate_per_s
 
 
 @dataclass(frozen=True)
@@ -185,14 +179,6 @@ class ReliabilityParams:
         if self.spare_budget is not None:
             if not isinstance(self.spare_budget, int) or isinstance(self.spare_budget, bool) or self.spare_budget < 0:
                 raise ParameterError("spare_budget must be None or an integer >= 0")
-
-    def failure_rate(self, task_exec_rate_per_s: float) -> float:
-        """Whole-task failure rate gamma = mu_f / l."""
-        return task_exec_rate_per_s / self.reliability_l
-
-    def failure_rate_per_worker(self, task_exec_rate_per_s: float, segments: int) -> float:
-        """Per-worker failure rate gamma_n = gamma / n for an n-segment task."""
-        return self.failure_rate(task_exec_rate_per_s) / segments
 
 
 def from_mapping(cls, data: dict, context: str = ""):

@@ -32,8 +32,6 @@ from eecsim.coverage import (
     RankedSelection,
     ranked_success_probabilities,
     success_probability,
-    success_probability_random,
-    success_probability_ranked,
 )
 from eecsim.montecarlo import SimConfig, empirical_delay, empirical_success_curve
 
@@ -77,7 +75,7 @@ def test_criterion_01_random_selection_anchors():
     start = time.perf_counter()
     for rl, anchors in RANDOM_ANCHORS.items():
         for xi, want in anchors.items():
-            got = success_probability_random(_query(rl, xi, RandomSelection()))
+            got = success_probability(_query(rl, xi, RandomSelection()))
             assert got == pytest.approx(want, abs=5e-3), (rl, xi)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -87,7 +85,7 @@ def test_criterion_01_random_selection_anchors():
 def test_criterion_02_ranked_selection_anchors():
     for rl, anchors in RANKED1_ANCHORS.items():
         for xi, want in anchors.items():
-            got = success_probability_ranked(1, _query(rl, xi, RankedSelection(1)))
+            got = float(ranked_success_probabilities(_query(rl, xi, RankedSelection(1)), (1,))[0])
             assert got == pytest.approx(want, abs=5e-3), (rl, xi)
     print("\nACCEPTANCE 2: PASS (4 anchors within 5e-3)")
 

@@ -1,9 +1,12 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from eecsim.chain import build_level_dependent, mean_absorption_time
 from eecsim.collab import (
     MecParams,
+    best_segmentation,
     bias_sweep,
     combined_delay,
     congested_worker_intensity,
@@ -85,6 +88,27 @@ class TestEdgeDelayUnderBias:
         empty = DeploymentParams(1e-15, 1e-4)
         with pytest.raises(UnservableError):
             eec_delay_under_bias(1.0, radio, empty, task, n_max=5)
+
+
+class TestBestSegmentation:
+    def test_first_minimum_over_usable_counts(self):
+        rates = np.array([2.0, 1.0, 0.5, 0.0, 0.3])
+        best = best_segmentation(rates, [0.1, 0.5])
+        assert len(best) == 2
+        for mu_f, (best_n, delays) in zip([0.1, 0.5], best):
+            # the search stops at the first zero rate
+            assert delays == tuple(mean_absorption_time(
+                build_level_dependent(n, rates[:n].tolist(), mu_f)) for n in (1, 2, 3))
+            assert best_n == delays.index(min(delays)) + 1
+
+    def test_matches_edge_operating_point(self, radio, deploy, task):
+        point = eec_delay_under_bias(0.5, radio, deploy, task, n_max=12)
+        assert point.per_n_delay_s[point.optimal_n - 1] == point.delay_s == min(point.per_n_delay_s)
+
+    def test_no_servable_rate(self):
+        with pytest.raises(UnservableError) as info:
+            best_segmentation(np.zeros(3), [0.02], diagnostic={"nu_w_per_m2": 0.0})
+        assert info.value.diagnostic == {"nu_w_per_m2": 0.0}
 
 
 class TestCombinedObjective:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,9 +52,9 @@ class TestConfig:
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"task": {"segments": 3}}), encoding="utf-8")
+        path.write_text(json.dumps({"task": {"d2d_slot_s": 2.0}}), encoding="utf-8")
         cfg = load_config(str(path))
-        assert cfg.task.segments == 3
+        assert cfg.task.d2d_slot_s == 2.0
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -61,7 +64,7 @@ class TestConfig:
 
     def test_hash_stability(self):
         assert config_hash(preset()) == config_hash(preset())
-        changed = resolve_config({"task": {"segments": 9}})
+        changed = resolve_config({"task": {"d2d_slot_s": 2.0}})
         assert config_hash(changed) != config_hash(preset())
 
 
@@ -217,6 +220,10 @@ class TestContourCommand:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    def test_no_servable_worker_without_failure_rates(self):
+        # the usable-count check runs per nu_w, before any mu_f value
+        assert main(["contour", "--nu-w", "0", "--mu-f", ""]) == 2
+
 
 class TestBiasCommand:
     @pytest.mark.parametrize("step", ["0", "-0.1", "1.5"])
@@ -289,6 +296,22 @@ class TestCliErrors:
         path = tmp_path / "typo.json"
         path.write_text(json.dumps({"radio": {"los_radius_meters": 10}}))
         assert main(["coverage", "--xi", "0", "--config", str(path)]) == 2
+
+    def test_segments_is_not_a_config_key(self, tmp_path, capsys):
+        # segment counts come from --n and --n-max only
+        path = tmp_path / "segments.json"
+        path.write_text(json.dumps({"task": {"segments": 6}}))
+        assert main(["delay", "--n", "1", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: section 'task': unknown key(s) ['segments']")
+
+    def test_import_does_not_load_scipy_stats(self):
+        # scipy.stats costs most of a command's start-up time
+        code = "import sys, eecsim.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_bad_selection_exits_2(self, tmp_path):
         assert main(["coverage", "--xi", "0", "--selection", "nearest"]) == 2

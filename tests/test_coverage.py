@@ -22,8 +22,6 @@ from eecsim.coverage import (
     ranked_success_probabilities,
     success_curves,
     success_probability,
-    success_probability_random,
-    success_probability_ranked,
     success_table,
     worker_availability_mass,
 )
@@ -138,21 +136,20 @@ class TestSuccessProbability:
     @pytest.mark.parametrize("rl,xi", sorted(RANDOM_ANCHORS))
     def test_random_anchors(self, radio, deploy, rl, xi):
         q = CoverageQuery(replace(radio, los_radius_m=rl, sinr_threshold_db=xi), deploy)
-        assert success_probability_random(q) == pytest.approx(
-            RANDOM_ANCHORS[(rl, xi)], abs=5e-3)
+        assert success_probability(q) == pytest.approx(RANDOM_ANCHORS[(rl, xi)], abs=5e-3)
 
     @pytest.mark.parametrize("rl,xi", sorted(RANKED1_ANCHORS))
     def test_ranked_anchors(self, radio, deploy, rl, xi):
         q = CoverageQuery(replace(radio, los_radius_m=rl, sinr_threshold_db=xi),
                           deploy, RankedSelection(1))
-        assert success_probability_ranked(1, q) == pytest.approx(
+        assert ranked_success_probabilities(q, (1,))[0] == pytest.approx(
             RANKED1_ANCHORS[(rl, xi)], abs=5e-3)
 
     def test_monotone_in_threshold(self, radio, deploy):
         values = []
         for xi in range(-20, 16):
             q = CoverageQuery(replace(radio, sinr_threshold_db=float(xi)), deploy)
-            p = success_probability_random(q)
+            p = success_probability(q)
             assert 0.0 <= p <= 1.0
             values.append(p)
         assert all(b <= a for a, b in zip(values, values[1:]))
@@ -161,7 +158,7 @@ class TestSuccessProbability:
         values = []
         for nu_r in (0.0, 1e-5, 1e-4, 1e-3):
             q = CoverageQuery(radio, DeploymentParams(7e-4, nu_r))
-            values.append(success_probability_random(q))
+            values.append(success_probability(q))
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_ranked_decreasing_in_rank(self, radio, deploy):
@@ -172,16 +169,14 @@ class TestSuccessProbability:
 
     def test_tolerance_self_consistency(self, radio, deploy):
         q = CoverageQuery(radio, deploy)
-        p_coarse = success_probability_random(q, QuadratureConfig(rel_tol=1e-6))
-        p_fine = success_probability_random(q, QuadratureConfig(rel_tol=5e-7))
+        p_coarse = success_probability(q, QuadratureConfig(rel_tol=1e-6))
+        p_fine = success_probability(q, QuadratureConfig(rel_tol=5e-7))
         assert abs(p_fine - p_coarse) < 1e-6 * abs(p_coarse)
 
-    def test_selection_mismatch_rejected(self, radio, deploy):
-        q = CoverageQuery(radio, deploy, RankedSelection(2))
+    def test_unknown_selection_rejected(self, radio, deploy):
+        q = CoverageQuery(radio, deploy, "nearest")
         with pytest.raises(ParameterError):
-            success_probability_random(q)
-        with pytest.raises(ParameterError):
-            success_probability_ranked(1, q)
+            success_probability(q)
 
 
 class TestOrderedDistance:

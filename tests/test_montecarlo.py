@@ -9,55 +9,161 @@ from eecsim.coverage import (
     CoverageQuery,
     RandomSelection,
     RankedSelection,
-    success_probability_random,
+    success_probability,
 )
 from eecsim.errors import ParameterError
 from eecsim.montecarlo import (
     SimConfig,
+    _JumpTables,
+    _rep_sinr,
+    _run_trajectory,
+    _spatial_key,
+    _trajectory_rng,
     default_arena_radius,
     empirical_delay,
     empirical_success_curve,
-    empirical_success_probability,
-    link_sinr,
-    sample_network,
-    simulate_task_trajectory,
 )
-from eecsim.params import DeploymentParams
+from eecsim.params import DeploymentParams, directivity_distribution
 
 # the coverage analysis carries a small gamma-tail approximation bias on
 # top of the binomial noise
 COVERAGE_BIAS_ALLOWANCE = 0.02
+ANCHORS = ("worker", "requester")
+
+
+def estimate(cfg, query, **kwargs):
+    """Monte Carlo success estimate at the query's own threshold."""
+    return empirical_success_curve(cfg, query, [query.radio.sinr_threshold_db], **kwargs)[0]
+
+
+def spatial_rng(seed, replication):
+    """A fresh generator on one replication's spatial stream."""
+    return np.random.Generator(np.random.Philox(key=_spatial_key(seed, replication)))
+
+
+def draw_sinr(seed, radio, deploy, anchor="worker", selection=RankedSelection(1),
+              replication=0):
+    """The estimator's sampler on one replication of ``seed``: nearest worker."""
+    pairs = directivity_distribution(radio)
+    gains = np.array([g for g, _ in pairs])
+    gain_cum = np.cumsum([p for _, p in pairs])
+    return _rep_sinr(spatial_rng(seed, replication), radio, deploy, selection,
+                     default_arena_radius(radio, deploy), gains, gain_cum,
+                     anchor == "worker")
+
+
+def worker_count(seed, radio, deploy):
+    """LoS workers the sampler draws on replication 0 of ``seed``.
+
+    The count is the replication's first draw, and the k-th nearest worker
+    exists exactly when the count is at least k, so bisect on k.
+    """
+    def has(k):
+        return draw_sinr(seed, radio, deploy, selection=RankedSelection(k)) is not None
+
+    lo, hi = 0, 1
+    while has(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if has(mid) else (lo, mid)
+    return lo
+
+
+def edge_snr(radio):
+    """Mean SNR of an aligned link across the whole LoS radius."""
+    return (radio.main_lobe ** 2 * radio.intercept_los
+            * radio.los_radius_m ** (-radio.pathloss_exp_los) / radio.noise_normalized)
+
+
+def oracle_sinrs(rng, radio, deploy, arena):
+    """Reference pipeline: one network, shares no code with the estimator.
+
+    Draws the network in Cartesian coordinates around the requester at the
+    origin: workers in the LoS disk (redrawn until there is one) and
+    interfering requesters in the arena disk, each interferer with an
+    alignment gain and a fade for either blockage class.  Returns the SINR
+    of the link to the nearest worker and to a uniformly chosen worker,
+    each with interferers classified LoS by their distance to the worker
+    and by their distance to the requester (the order of ``ANCHORS``).
+    Path loss always runs over the distance to the receiving worker.
+    """
+    rl = radio.los_radius_m
+
+    def disk(intensity, radius):
+        count = rng.poisson(intensity * math.pi * radius * radius)
+        radii = radius * np.sqrt(rng.random(count))
+        angles = 2.0 * math.pi * rng.random(count)
+        return radii * np.cos(angles), radii * np.sin(angles)
+
+    wx, wy = disk(deploy.worker_intensity_per_m2, rl)
+    while wx.size == 0:
+        wx, wy = disk(deploy.worker_intensity_per_m2, rl)
+    ix, iy = disk(deploy.requester_intensity_per_m2, arena)
+    pairs = directivity_distribution(radio)
+    gain = rng.choice([g for g, _ in pairs], size=ix.size, p=[p for _, p in pairs])
+    n_l, n_n = radio.nakagami_los, radio.nakagami_nlos
+    fade_los = rng.gamma(n_l, 1.0 / n_l, ix.size)
+    fade_nlos = rng.gamma(n_n, 1.0 / n_n, ix.size)
+    out = {}
+    for rule, k in (("nearest", np.argmin(np.hypot(wx, wy))),
+                    ("random", rng.integers(wx.size))):
+        r0 = math.hypot(wx[k], wy[k])
+        signal = (rng.gamma(n_l, 1.0 / n_l) * radio.main_lobe ** 2 * radio.intercept_los
+                  * r0 ** (-radio.pathloss_exp_los))
+        d = np.hypot(ix - wx[k], iy - wy[k])
+        los_power = fade_los * gain * radio.intercept_los * d ** (-radio.pathloss_exp_los)
+        nlos_power = fade_nlos * gain * radio.intercept_nlos * d ** (-radio.pathloss_exp_nlos)
+        for anchor, dist in zip(ANCHORS, (d, np.hypot(ix, iy))):
+            interference = np.where(dist <= rl, los_power, nlos_power).sum()
+            out[rule, anchor] = signal / (radio.noise_normalized + interference)
+    return out
 
 
 class TestSampling:
     def test_same_seed_same_realization(self, radio, deploy):
-        a = sample_network(123, deploy, radio)
-        b = sample_network(123, deploy, radio)
-        assert np.array_equal(a.worker_points, b.worker_points)
-        assert np.array_equal(a.requester_points, b.requester_points)
-        assert np.array_equal(a.interferer_gains, b.interferer_gains)
+        a = draw_sinr(123, radio, deploy)
+        assert a is not None
+        assert a == draw_sinr(123, radio, deploy)
 
     def test_different_seed_differs(self, radio, deploy):
-        a = sample_network(123, deploy, radio)
-        b = sample_network(124, deploy, radio)
-        assert len(a.worker_points) != len(b.worker_points) or not np.array_equal(
-            a.worker_points, b.worker_points)
+        assert draw_sinr(123, radio, deploy) != draw_sinr(124, radio, deploy)
 
     def test_zero_worker_intensity(self, radio):
-        real = sample_network(5, DeploymentParams(0.0, 1e-4), radio)
-        assert len(real.worker_points) == 0
+        # no worker to serve: the sampler reports it and the estimator resamples
+        assert draw_sinr(5, radio, DeploymentParams(0.0, 1e-4)) is None
+
+    def test_estimator_follows_replication_streams(self, radio, deploy):
+        # the estimator rewinds one generator to each replication's stream, so
+        # it must see exactly the SINRs a fresh generator per replication
+        # draws; thresholds midway between them recover every rank
+        reps = 40
+        sinrs = sorted(draw_sinr(8, radio, deploy, replication=r) for r in range(reps))
+        db = [10.0 * math.log10(x) for x in sinrs]
+        mids = [(a + b) / 2.0 for a, b in zip(db, db[1:])]
+        query = CoverageQuery(radio, deploy, RankedSelection(1))
+        ests = empirical_success_curve(SimConfig(seed=8, replications=reps), query, mids)
+        assert [round(e.estimate * reps) for e in ests] == list(range(reps - 1, 0, -1))
+        assert ests[0].resampled_realizations == 0
 
     def test_mean_worker_count(self, radio, deploy):
+        # requesters are drawn after the workers, so dropping them leaves
+        # every count as it is and only saves the interference work
+        quiet = replace(deploy, requester_intensity_per_m2=0.0)
         v = deploy.mean_los_workers(radio.los_radius_m)
-        counts = [len(sample_network(seed, deploy, radio, arena_radius_m=150.0).worker_points)
-                  for seed in range(10_000)]
+        counts = [worker_count(seed, radio, quiet) for seed in range(10_000)]
         sigma = math.sqrt(v / len(counts))
         assert np.mean(counts) == pytest.approx(v, abs=3 * sigma)
 
-    def test_workers_inside_los_disk(self, radio, deploy):
-        real = sample_network(9, deploy, radio)
-        radii = np.hypot(real.worker_points[:, 0], real.worker_points[:, 1])
-        assert np.all(radii <= radio.los_radius_m)
+    def test_workers_inside_los_disk(self, radio):
+        # nearly deterministic fading, no interferers: every serving link
+        # clears a threshold 1 dB under the mean SNR at the LoS radius
+        quiet = replace(radio, nakagami_los=1000)
+        xi_db = 10.0 * math.log10(edge_snr(quiet)) - 1.0
+        cfg = SimConfig(seed=4, replications=2000)
+        for selection in (RandomSelection(), RankedSelection(3)):
+            query = CoverageQuery(quiet, DeploymentParams(7e-4, 0.0), selection)
+            assert empirical_success_curve(cfg, query, [xi_db])[0].estimate == 1.0
 
     def test_arena_default(self, radio, deploy):
         assert default_arena_radius(radio, deploy) == 10 * radio.los_radius_m
@@ -65,36 +171,38 @@ class TestSampling:
 
 class TestLinkSinr:
     def test_deterministic_limit_without_interference(self, radio):
-        # nearly deterministic fading, no interferers: SINR is the mean SNR
+        # no interferers and unit-mean fading: a uniformly chosen worker
+        # clears the mean SNR at distance r with probability exactly (r/R_L)^2
         quiet = replace(radio, nakagami_los=1000)
-        deploy = DeploymentParams(7e-4, 0.0)
-        real = sample_network(3, deploy, quiet)
-        idx = 0
-        r0 = float(np.hypot(*real.worker_points[idx]))
-        want = (quiet.main_lobe ** 2 * quiet.intercept_los
-                * r0 ** (-quiet.pathloss_exp_los) / quiet.noise_normalized)
-        got = link_sinr(real, idx, quiet)
-        assert got == pytest.approx(want, rel=0.15)
+        query = CoverageQuery(quiet, DeploymentParams(7e-4, 0.0), RandomSelection())
+        fractions = (0.3, 0.6, 0.9)
+        xis = [10.0 * math.log10(edge_snr(quiet) * f ** (-quiet.pathloss_exp_los))
+               for f in fractions]
+        for est, f in zip(empirical_success_curve(SimConfig(seed=3, replications=4000),
+                                                  query, xis), fractions):
+            assert abs(est.estimate - f * f) <= 3 * math.sqrt(f * f * (1 - f * f) / 4000)
 
     def test_interference_lowers_sinr(self, radio, deploy):
-        real = sample_network(3, deploy, radio)
-        quiet = replace(real, requester_points=np.empty((0, 2)),
-                        interferer_gains=np.empty(0),
-                        interferer_fades_los=np.empty(0),
-                        interferer_fades_nlos=np.empty(0))
-        assert link_sinr(real, 0, radio) < link_sinr(quiet, 0, radio)
-
-    def test_rejects_worker_outside_los(self, radio, deploy):
-        real = sample_network(3, deploy, radio)
-        moved = replace(real, worker_points=np.array([[500.0, 0.0]]))
-        with pytest.raises(ParameterError):
-            link_sinr(moved, 0, radio)
+        # the serving link is drawn before the interferers, so the same
+        # stream without requesters gives the same link with no interference
+        quiet = replace(deploy, requester_intensity_per_m2=0.0)
+        for seed in range(20):
+            for anchor in ANCHORS:
+                assert (draw_sinr(seed, radio, deploy, anchor)
+                        < draw_sinr(seed, radio, quiet, anchor))
 
     def test_classification_toggle_changes_result(self, radio, deploy):
-        real = sample_network(17, deploy, radio)
-        worker = link_sinr(real, 0, radio, los_classification="worker")
-        requester = link_sinr(real, 0, radio, los_classification="requester")
-        assert worker != requester  # same draws, different blockage anchors
+        # same draws, different blockage anchors
+        cfg = SimConfig(seed=17, replications=5000)
+        query = CoverageQuery(radio, deploy, RandomSelection())
+        worker, requester = (estimate(cfg, query, los_classification=a) for a in ANCHORS)
+        combined_se = math.hypot(worker.std_error, requester.std_error)
+        assert abs(worker.estimate - requester.estimate) > 3 * combined_se
+
+    def test_rejects_unknown_anchor(self, radio, deploy):
+        query = CoverageQuery(radio, deploy, RandomSelection())
+        with pytest.raises(ParameterError):
+            estimate(SimConfig(seed=1, replications=1), query, los_classification="origin")
 
 
 class TestEmpiricalCoverage:
@@ -107,8 +215,8 @@ class TestEmpiricalCoverage:
 
     def test_matches_analysis_random(self, radio, deploy):
         query = CoverageQuery(radio, deploy, RandomSelection())
-        est = empirical_success_probability(SimConfig(seed=11, replications=20_000), query)
-        analytic = success_probability_random(query)
+        est = estimate(SimConfig(seed=11, replications=20_000), query)
+        analytic = success_probability(query)
         assert abs(est.estimate - analytic) <= 3 * est.std_error + COVERAGE_BIAS_ALLOWANCE
 
     def test_threshold_zero_limit(self, radio, deploy):
@@ -121,54 +229,62 @@ class TestEmpiricalCoverage:
         est = []
         for nu_r in (1e-4, 2e-4):
             query = CoverageQuery(radio, DeploymentParams(7e-4, nu_r), RandomSelection())
-            est.append(empirical_success_probability(cfg, query).estimate)
+            est.append(estimate(cfg, query).estimate)
         assert est[1] <= est[0]
 
     def test_ranked_selection_beats_random(self, radio, deploy):
         cfg = SimConfig(seed=31, replications=15_000)
-        random_est = empirical_success_probability(
-            cfg, CoverageQuery(radio, deploy, RandomSelection()))
-        nearest_est = empirical_success_probability(
-            cfg, CoverageQuery(radio, deploy, RankedSelection(1)))
+        random_est = estimate(cfg, CoverageQuery(radio, deploy, RandomSelection()))
+        nearest_est = estimate(cfg, CoverageQuery(radio, deploy, RankedSelection(1)))
         assert nearest_est.estimate > random_est.estimate
 
     def test_fast_path_matches_reference_pipeline(self, radio, deploy):
-        # the estimator's trimmed draw path against the sample_network plus
-        # link_sinr reference, as two independent estimates of the same
-        # probability (nearest-worker selection needs no extra draws)
+        # the estimator against the reference pipeline, as two independent
+        # estimates of the same probability, for both selection rules under
+        # both blockage anchors; every oracle network serves all four
         reps = 15_000
-        threshold = radio.sinr_threshold
-        hits = 0
+        arena = default_arena_radius(radio, deploy)
+        hits = dict.fromkeys([(rule, a) for rule in ("nearest", "random") for a in ANCHORS], 0)
         for rep in range(reps):
-            real = sample_network(rep, deploy, radio)
-            d2 = np.einsum("ij,ij->i", real.worker_points, real.worker_points)
-            nearest = int(np.argmin(d2))
-            hits += link_sinr(real, nearest, radio) > threshold
-        reference = hits / reps
-        query = CoverageQuery(radio, deploy, RankedSelection(1))
-        est = empirical_success_probability(SimConfig(seed=77, replications=reps), query)
-        combined_se = math.sqrt(est.std_error ** 2 + reference * (1 - reference) / reps)
-        assert abs(est.estimate - reference) <= 3 * combined_se
+            sinrs = oracle_sinrs(np.random.default_rng((2718, rep)), radio, deploy, arena)
+            for key, sinr in sinrs.items():
+                hits[key] += sinr > radio.sinr_threshold
+        cfg = SimConfig(seed=77, replications=reps)
+        for (rule, anchor), count in hits.items():
+            selection = RankedSelection(1) if rule == "nearest" else RandomSelection()
+            est = estimate(cfg, CoverageQuery(radio, deploy, selection),
+                           los_classification=anchor)
+            reference = count / reps
+            combined_se = math.sqrt(est.std_error ** 2 + reference * (1 - reference) / reps)
+            assert abs(est.estimate - reference) <= 3 * combined_se, (rule, anchor)
 
     def test_resampling_counted_for_sparse_workers(self, radio):
-        sparse = DeploymentParams(2e-5, 0.0)  # V ~ 0.63, empty disks are common
+        # V ~ 0.63, so empty disks are common; each replication redraws until
+        # the disk holds a worker, so its redraw count is geometric with mean
+        # e^-V / (1 - e^-V) and variance e^-V / (1 - e^-V)^2
+        sparse = DeploymentParams(2e-5, 0.0)
+        empty = math.exp(-sparse.mean_los_workers(radio.los_radius_m))
+        reps = 4000
         query = CoverageQuery(radio, sparse, RandomSelection())
-        est = empirical_success_probability(SimConfig(seed=3, replications=300), query)
-        assert est.resampled_realizations > 0
+        est = estimate(SimConfig(seed=3, replications=reps), query)
+        mean = reps * empty / (1 - empty)
+        sigma = math.sqrt(reps * empty) / (1 - empty)
+        assert abs(est.resampled_realizations - mean) <= 4 * sigma
 
     def test_hopeless_selection_raises(self, radio):
         none = DeploymentParams(0.0, 0.0)
         query = CoverageQuery(radio, none, RandomSelection())
         with pytest.raises(ParameterError):
-            empirical_success_probability(SimConfig(seed=3, replications=2), query)
+            estimate(SimConfig(seed=3, replications=2), query)
 
 
 class TestTrajectories:
     def test_deterministic(self):
         model = build_baseline(3, 1.0, 0.02)
-        a = simulate_task_trajectory(99, model)
-        b = simulate_task_trajectory(99, model)
+        a = _run_trajectory(_JumpTables(model), _trajectory_rng(99, 0))
+        b = _run_trajectory(_JumpTables(model), _trajectory_rng(99, 0))
         assert a == b
+        assert a[0] > 0.0 and a[1] is True
 
     def test_instant_allocation_single_segment(self):
         model = build_baseline(1, 1e9, 0.02)

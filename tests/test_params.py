@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from eecsim.chain import build_failure_chain, build_level_dependent
 from eecsim.errors import ConfigError, ParameterError
 from eecsim.params import (
     DeploymentParams,
@@ -114,23 +115,26 @@ class TestValidation:
         assert deploy.mean_los_workers(100.0) == pytest.approx(7 * math.pi, rel=1e-12)
 
     def test_task_segment_rate(self):
-        task = TaskParams(segments=4, task_exec_rate_per_s=0.02, d2d_slot_s=1.0)
-        assert task.segment_exec_rate == pytest.approx(0.08)
+        # one of n equal segments executes at n * mu_f; the chains apply it
+        task = TaskParams(task_exec_rate_per_s=0.02, d2d_slot_s=1.0)
+        model = build_level_dependent(4, [1.0] * 4, task.task_exec_rate_per_s)
+        assert model.segment_exec_rate == pytest.approx(0.08)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(segments=0, task_exec_rate_per_s=0.02, d2d_slot_s=1.0),
-        dict(segments=2.0, task_exec_rate_per_s=0.02, d2d_slot_s=1.0),
-        dict(segments=2, task_exec_rate_per_s=0.0, d2d_slot_s=1.0),
-        dict(segments=2, task_exec_rate_per_s=0.02, d2d_slot_s=0.0),
+        dict(task_exec_rate_per_s=0.0, d2d_slot_s=1.0),
+        dict(task_exec_rate_per_s=-0.02, d2d_slot_s=1.0),
+        dict(task_exec_rate_per_s=0.02, d2d_slot_s=0.0),
+        dict(task_exec_rate_per_s=0.02, d2d_slot_s=-1.0),
     ])
     def test_task_invariants(self, kwargs):
         with pytest.raises(ParameterError):
             TaskParams(**kwargs)
 
     def test_reliability_rates(self):
+        # a worker fails at mu_f / (l * n); the failure chain applies it
         rel = ReliabilityParams(reliability_l=3.0, spare_budget=2)
-        assert rel.failure_rate(0.02) == pytest.approx(0.02 / 3.0)
-        assert rel.failure_rate_per_worker(0.02, 5) == pytest.approx(0.02 / 15.0)
+        model = build_failure_chain(5, [1.0] * 5, 0.02, rel.reliability_l, rel.spare_budget)
+        assert model.failure_rate_per_worker == pytest.approx(0.02 / 15.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(reliability_l=0.0),
@@ -160,5 +164,4 @@ class TestMappingLoad:
 
     def test_invariant_violation_reported_as_config_error(self):
         with pytest.raises(ConfigError):
-            from_mapping(TaskParams, {
-                "segments": 0, "task_exec_rate_per_s": 0.02, "d2d_slot_s": 1.0})
+            from_mapping(TaskParams, {"task_exec_rate_per_s": 0.0, "d2d_slot_s": 1.0})
