@@ -15,6 +15,7 @@ from .chain import (
     build_level_dependent,
     completion_probability,
     mean_absorption_time,
+    solve_chains,
     worker_idle_probability,
 )
 from .collab import (
@@ -33,13 +34,10 @@ from .coverage import (
     QuadratureConfig,
     RandomSelection,
     RankedSelection,
-    interference_exponent_los,
-    interference_exponent_nlos,
     ordered_distance_pdf,
     ranked_success_probabilities,
     success_curves,
     success_probability,
-    worker_availability_mass,
 )
 from .errors import (
     ConfigError,

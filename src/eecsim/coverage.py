@@ -22,11 +22,12 @@ probability that at least k LoS workers exist.
 
 Every probability comes from one engine, :func:`success_table`.  Its single
 node-doubling loop (:func:`_refine`) evaluates the kernel once per
-(threshold, node count) and averages it against every density still
-refining at that threshold.  Each quantity (one probability, or one block
-of ranks judged as a vector) stops at the first doubling where its value
-changed by at most rel_tol * max|value| + abs_tol, so batching changes no
-output.  The single-query functions are thin wrappers over the engine.
+(threshold, requester intensity, node count) and averages it against every
+density at that intensity still refining at that threshold.  Each quantity
+(one probability, or one block of ranks judged as a vector) stops at the
+first doubling where its value changed by at most
+rel_tol * max|value| + abs_tol, so batching changes no output.  The
+single-query functions are thin wrappers over the engine.
 
 Everything here is a pure function of value inputs and is safe to evaluate
 concurrently across grid points.
@@ -40,7 +41,6 @@ from itertools import groupby
 from math import comb, lgamma
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError, QuadratureError
 from .params import DeploymentParams, RadioParams, db_to_linear, directivity_distribution
@@ -50,13 +50,10 @@ __all__ = [
     "RankedSelection",
     "CoverageQuery",
     "QuadratureConfig",
-    "interference_exponent_los",
-    "interference_exponent_nlos",
     "success_curves",
     "success_probability",
     "ranked_success_probabilities",
     "ordered_distance_pdf",
-    "worker_availability_mass",
 ]
 
 
@@ -239,39 +236,6 @@ def _refine(evaluate, keys, cfg: QuadratureConfig, what: str) -> dict:
     return done
 
 
-def _exponent(which: int, j: int, r0: float, q: CoverageQuery,
-              cfg: QuadratureConfig, what: str) -> float:
-    def evaluate(n, pending):
-        exponents = _wz_exponents(np.array([r0], float), q.radio,
-                                  q.deploy.requester_intensity_per_m2,
-                                  q.radio.sinr_threshold, n)
-        return {what: float(exponents[which][j - 1, 0])}
-
-    return _refine(evaluate, [what], cfg, what)[what]
-
-
-def interference_exponent_los(j: int, r0: float, q: CoverageQuery,
-                              cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
-    """LoS interference exponent W_j at serving distance r0."""
-    _validate_j_r0(j, r0, q.radio)
-    return _exponent(0, j, r0, q, cfg, "W_j")
-
-
-def interference_exponent_nlos(j: int, r0: float, q: CoverageQuery,
-                               cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
-    """NLoS interference exponent Z_j at serving distance r0."""
-    _validate_j_r0(j, r0, q.radio)
-    _check_nlos_exponent(q.radio)
-    return _exponent(1, j, r0, q, cfg, "Z_j")
-
-
-def _validate_j_r0(j: int, r0: float, radio: RadioParams):
-    if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= radio.nakagami_los:
-        raise ParameterError(f"j must be an integer in 1..{radio.nakagami_los}, got {j!r}")
-    if not 0.0 < r0 <= radio.los_radius_m:
-        raise ParameterError(f"r0 must lie in (0, {radio.los_radius_m}], got {r0!r}")
-
-
 def ordered_distance_pdf(k: int, r, deploy: DeploymentParams,
                          los_radius_m: float):
     """Unnormalized density of the k-th nearest worker distance.
@@ -302,16 +266,6 @@ def ordered_distance_pdf(k: int, r, deploy: DeploymentParams,
     # k >= 2 vanishes at r = 0; exp(-inf) already gives 0, guard 0 * inf
     out = np.where(np.isfinite(log_fk), out, 0.0)
     return out if r_arr.ndim else float(out)
-
-
-def worker_availability_mass(k: int, deploy: DeploymentParams,
-                             los_radius_m: float) -> float:
-    """Probability that at least k LoS workers exist (Poisson tail)."""
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
-    v = deploy.mean_los_workers(los_radius_m)
-    # regularized lower incomplete gamma equals the Poisson upper tail
-    return float(special.gammainc(k, v))
 
 
 @dataclass(frozen=True)
@@ -355,29 +309,28 @@ def success_table(radio: RadioParams, densities, xi_db_values,
 
     Returns ``table[d][t]``, clipped to [0, 1]: a float for random selection,
     an array over the ranks otherwise; ``radio.sinr_threshold_db`` is not
-    used.  The kernel is evaluated once per threshold and node count for all
-    densities, so they must share one requester intensity.
+    used.  The kernel is evaluated once per threshold, requester intensity
+    and node count, and shared by every density at that intensity.
     """
     densities = list(densities)
     xis = [db_to_linear(xi_db) for xi_db in xi_db_values]
-    requester = {d.deploy.requester_intensity_per_m2 for d in densities}
-    if len(requester) > 1:
-        raise ParameterError("densities in one table must share the requester intensity")
     keys = [(t, d) for t in range(len(xis)) for d in range(len(densities))]
     if keys:  # an empty table is not an error, even for a divergent radio
         _check_nlos_exponent(radio)
-    nu_r = requester.pop() if requester else 0.0
     rl = radio.los_radius_m
 
     def evaluate(n, pending):
         r0, w0 = _gauss_nodes(n, 0.0, rl)
         weights, values = {}, {}
         for t, keys in groupby(pending, key=lambda key: key[0]):
-            kern = _kernel(r0, radio, nu_r, xis[t], 2 * n)
+            kernels = {}
             for _, d in keys:
+                nu_r = densities[d].deploy.requester_intensity_per_m2
+                if nu_r not in kernels:
+                    kernels[nu_r] = _kernel(r0, radio, nu_r, xis[t], 2 * n)
                 if d not in weights:
                     weights[d] = densities[d]._weights(r0, rl)
-                values[t, d] = densities[d]._average(weights[d], kern, w0)
+                values[t, d] = densities[d]._average(weights[d], kernels[nu_r], w0)
         return values
 
     done = _refine(evaluate, keys, cfg, "success probability")
@@ -393,8 +346,7 @@ def success_curves(radio: RadioParams, deploy: DeploymentParams, selections,
     """Success probability per selection rule (rows) and threshold in dB (columns).
 
     Rank-k entries are unnormalized: each includes the probability that at
-    least k workers exist.  Divide by :func:`worker_availability_mass` for the
-    conditional success probability.
+    least k workers exist.
     """
     densities = []
     for selection in selections:

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .chain import FAIL, ChainModel, transitions
+from .chain import FAIL, ChainModel, _Lanes
 from .coverage import CoverageQuery, RandomSelection, RankedSelection
 from .errors import ParameterError
 from .params import DeploymentParams, RadioParams, directivity_distribution
@@ -230,46 +231,42 @@ class DelayEstimate:
 class _JumpTables:
     """Flattened jump structure of a chain for fast trajectory sampling.
 
-    States get integer ids (``ids`` maps state to id) in the order a search
-    from the start state reaches them; each transient state keeps its exit
-    rate and the cumulative jump probabilities over
-    :func:`~eecsim.chain.transitions`.
+    States get integer ids (``ids`` maps state to id), the start state
+    (0, 0, 0) first; each transient state keeps its exit rate and the
+    cumulative jump probabilities over the rate vectors of its block
+    (:meth:`~eecsim.chain._Lanes.block`), moves in the vectors' order.
     """
 
     def __init__(self, model: ChainModel):
-        self.ids = ids = {(0, 0, 0): 0}
-        pending = [(0, 0, 0)]
-        self.total_rate: list[float] = []
-        self.cum_probs: list[list[float]] = []
-        self.targets: list[list[int]] = []
-        self.absorbing: set[int] = set()
-        self.success: set[int] = set()
-        # ids are handed out in search order, so the lists stay aligned
-        for state in pending:
-            rate, cum, tgt = 0.0, [], []
-            if state == FAIL or state[0] == model.n:
-                self.absorbing.add(ids[state])
-                if state != FAIL:
-                    self.success.add(ids[state])
-            else:
-                moves = transitions(model, state)
-                # left to right on purpose: builtin sum() compensates on
-                # Python >= 3.12, which would move the exit rate by an ulp
-                for r, _ in moves:
-                    rate += r
-                acc = 0.0
-                for r, target in moves:
-                    if target not in ids:
-                        ids[target] = len(ids)
-                        pending.append(target)
-                    acc += r / rate
-                    cum.append(acc)
-                    tgt.append(ids[target])
-                cum[-1] = 1.0
-            self.total_rate.append(rate)
-            self.cum_probs.append(cum)
-            self.targets.append(tgt)
+        n, budget = model.n, model.spare_budget
+        levels = range(1 if budget is None else budget + 1)
+        states = [(f, c, u) for f in range(n + 1) for c in range(n - f + 1) for u in levels]
+        self.ids = ids = {state: i for i, state in
+                          enumerate(states + ([] if budget is None else [FAIL]))}
         self.start = 0
+        self.total_rate = [0.0] * len(ids)
+        self.cum_probs: list[list[float]] = [[] for _ in ids]
+        self.targets: list[list[int]] = [[] for _ in ids]
+        self.success = {ids[n, 0, u] for u in levels}
+        self.absorbing = self.success | {ids[FAIL]} if budget is not None else self.success
+        lanes = _Lanes([model])
+        for g in range(1, n + 1):
+            f = n - g
+            for u in levels:
+                vectors = [v[:, 0].tolist() for v in lanes.block(g, u)]
+                for c in range(g + 1):
+                    lands = ((f, c - 1, u if budget is None else u + 1),
+                             (f, c + 1, u), (f + 1, c - 1, u), FAIL)
+                    moves = [(v[c], ids[target]) for v, target in zip(vectors, lands)
+                             if v[c] > 0.0]
+                    # accumulate() adds left to right; builtin sum() compensates
+                    # on Python >= 3.12, which would move the exit rate by an ulp
+                    rate = list(accumulate(r for r, _ in moves))[-1]
+                    cum = list(accumulate(r / rate for r, _ in moves))
+                    cum[-1] = 1.0
+                    i = ids[f, c, u]
+                    self.total_rate[i], self.cum_probs[i] = rate, cum
+                    self.targets[i] = [j for _, j in moves]
 
 
 def _trajectory_rng(seed: int, replication: int) -> random.Random:

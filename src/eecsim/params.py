@@ -75,10 +75,6 @@ class RadioParams:
 
     # Linear-domain views, converted on every read.
     @property
-    def sinr_threshold(self) -> float:
-        return db_to_linear(self.sinr_threshold_db)
-
-    @property
     def intercept_los(self) -> float:
         return db_to_linear(self.intercept_los_db)
 

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from eecsim.chain import (
     FAIL,
+    _Lanes,
     build_baseline,
     build_failure_chain,
     build_level_dependent,
     completion_probability,
     mean_absorption_time,
-    transitions,
+    solve_chains,
     worker_idle_probability,
 )
 from eecsim.errors import ParameterError
@@ -26,7 +27,7 @@ def closed_form_completion(n, l):
 def dense_oracle(model):
     """Mean absorption time and success probability from (0, 0), by dense
     linear solves on a rate matrix Q assembled here from the rules in the
-    ``eecsim.chain`` docstring, independently of its ``transitions``:
+    ``eecsim.chain`` docstring, independently of its block enumeration:
     -Q_TT m = 1 and -Q_TT rho = (rates into the success states)."""
     n, budget = model.n, model.spare_budget
     mu_seg, gamma = model.segment_exec_rate, model.failure_rate_per_worker
@@ -64,6 +65,12 @@ def dense_oracle(model):
     return time[0], success[0]
 
 
+def block(model, g, u=0):
+    """Block (g, u) of one model, as lists over c = 0..g:
+    (failure, allocation, completion, FAIL)."""
+    return [v[:, 0].tolist() for v in _Lanes([model]).block(g, u)]
+
+
 def jump_row(model, state):
     """Jump probabilities {target state: p} and exit rate at one state of
     the simulator's jump tables (the embedded chain it runs on)."""
@@ -78,16 +85,21 @@ def jump_row(model, state):
 class TestStateSpace:
     def test_smallest_chain(self):
         model = build_baseline(1, 1.0, 0.02)
-        assert transitions(model, (0, 0, 0)) == [(1.0, (0, 1, 0))]
-        [(rate, target)] = transitions(model, (0, 1, 0))
-        assert rate == pytest.approx(0.02)
-        assert target == (1, 0, 0)
-        assert transitions(model, (1, 0, 0)) == []  # absorbing
+        # block g = 1 holds (0, 0) and (0, 1): allocate, then complete
+        failure, alloc, complete, to_fail = block(model, 1)
+        assert alloc == [1.0, 0.0]
+        assert complete == [0.0, pytest.approx(0.02)]
+        assert failure == to_fail == [0.0, 0.0]
+        # (1, 0) is in no block: absorbing, without exits
+        tables = _JumpTables(model)
+        assert tables.ids[1, 0, 0] in tables.absorbing
+        assert tables.targets[tables.ids[1, 0, 0]] == []
 
     def test_exit_rate_interior_state(self):
         model = build_baseline(2, 0.9, 0.02)
         mu_seg = 2 * 0.02
-        exit_rate = sum(rate for rate, _ in transitions(model, (0, 1, 0)))
+        # state (0, 1) is row c = 1 of block g = 2
+        exit_rate = sum(v[1] for v in block(model, 2))
         assert exit_rate == pytest.approx(0.9 + mu_seg, abs=1e-14)
 
     def test_rejects_zero_segments(self):
@@ -117,8 +129,10 @@ class TestLevelDependent:
         # not the second
         lam = [2.0, 0.5]
         model = build_level_dependent(2, lam, 0.1)
-        assert (lam[0], (1, 1, 0)) in transitions(model, (1, 0, 0))
-        assert (lam[1], (0, 2, 0)) in transitions(model, (0, 1, 0))
+        assert block(model, 1)[1] == [lam[0], 0.0]  # from (1, 0) and (1, 1)
+        assert block(model, 2)[1] == [lam[0], lam[1], 0.0]  # from (0, c)
+        probs, _ = jump_row(model, (1, 0, 0))
+        assert probs == {(1, 1, 0): 1.0}
 
 
 class TestFailureChain:
@@ -154,8 +168,17 @@ class TestFailureChain:
         assert len(tables.ids) == 13
         assert FAIL in tables.ids
         assert tables.ids[0, 0, 0] == tables.start
-        assert transitions(model, (0, 1, 1)) == [
-            (1.0, (0, 2, 1)), (2 * 0.02, (1, 0, 1)), (0.02 / 2.0, FAIL)]
+        gamma = 0.02 / 2.0
+        # inside the budget a failure is counted; at the budget it is fatal
+        assert block(model, 2, u=0) == [[0.0, gamma, 2 * gamma], [1.0, 1.0, 0.0],
+                                        [0.0, 2 * 0.02, 4 * 0.02], [0.0, 0.0, 0.0]]
+        assert block(model, 2, u=1) == [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0],
+                                        [0.0, 2 * 0.02, 4 * 0.02], [0.0, gamma, 2 * gamma]]
+        probs, rate = jump_row(model, (0, 1, 1))
+        assert set(probs) == {(0, 2, 1), (1, 0, 1), FAIL}
+        assert rate == 1.0 + 2 * 0.02 + gamma
+        probs, _ = jump_row(model, (0, 1, 0))
+        assert set(probs) == {(0, 0, 1), (0, 2, 0), (1, 0, 0)}
 
 
 class TestEmbedded:
@@ -321,36 +344,51 @@ class TestCompletionProbability:
 @st.composite
 def chains(draw):
     """Chain parameters across the model's range: rates over five decades,
-    reliability l from 0.1 to 100, unlimited or finite spare budgets."""
+    reliability l from 0.1 to 100 or no failures at all (l = None),
+    unlimited or finite spare budgets."""
     n = draw(st.integers(1, 12))
     decades = st.floats(-3.0, 2.0)
     rates = [10.0 ** draw(decades) for _ in range(n)]
     mu_f = 10.0 ** draw(decades)
-    l = 10.0 ** draw(st.floats(-1.0, 2.0))
-    budget = draw(st.none() | st.integers(0, 10))
+    l = draw(st.none() | st.floats(-1.0, 2.0).map(lambda e: 10.0 ** e))
+    budget = None if l is None else draw(st.none() | st.integers(0, 10))
     return n, rates, mu_f, l, budget
+
+
+def chain(n, rates, mu_f, l, budget):
+    if l is None:
+        return build_level_dependent(n, rates, mu_f)
+    return build_failure_chain(n, rates, mu_f, l, spare_budget=budget)
 
 
 class TestAgainstDenseOracle:
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(chains(), st.floats(1.5, 10.0))
-    def test_level_solver_properties(self, params, scale):
-        n, rates, mu_f, l, budget = params
-        model = build_failure_chain(n, rates, mu_f, l, spare_budget=budget)
-        want_time, want_success = dense_oracle(model)
-        delay = mean_absorption_time(model)
-        assert delay == pytest.approx(want_time, rel=1e-12)
+    @given(st.lists(chains(), min_size=1, max_size=6), st.floats(1.5, 10.0))
+    def test_level_solver_properties(self, batch, scale):
+        # one call solves the batch, its scaled copies and its models with
+        # one more spare, mixing every n and budget
+        models = [chain(*params) for params in batch]
         # every rate (offloading, execution, failure) scaled up together
-        faster = build_failure_chain(n, [scale * r for r in rates], scale * mu_f, l,
-                                     spare_budget=budget)
-        assert mean_absorption_time(faster) <= delay
-        if budget is None:
-            return
-        success = completion_probability(model)
-        assert success == pytest.approx(want_success, abs=1e-12)
-        assert 0.0 <= success <= 1.0
-        more_spares = build_failure_chain(n, rates, mu_f, l, spare_budget=budget + 1)
-        assert completion_probability(more_spares) >= success
+        faster = [chain(n, [scale * r for r in rates], scale * mu_f, l, budget)
+                  for n, rates, mu_f, l, budget in batch]
+        more_spares = [chain(n, rates, mu_f, l, budget + 1)
+                       for n, rates, mu_f, l, budget in batch if budget is not None]
+        times, completions = solve_chains(models + faster + more_spares)
+        spare = iter(completions[2 * len(models):])
+        for i, model in enumerate(models):
+            want_time, want_success = dense_oracle(model)
+            assert times[i] == mean_absorption_time(model)  # bitwise
+            assert times[i] == pytest.approx(want_time, rel=1e-12)
+            assert times[len(models) + i] <= times[i]
+            if model.spare_budget is None:
+                continue
+            assert completions[i] == completion_probability(model)  # bitwise
+            assert completions[i] == pytest.approx(want_success, abs=1e-12)
+            assert 0.0 <= completions[i] <= 1.0
+            assert next(spare) >= completions[i]
+
+    def test_empty_batch(self):
+        assert solve_chains([]) == ([], [])
 
 
 class TestWorkerIdle:

@@ -6,6 +6,7 @@ import pytest
 from eecsim.chain import build_level_dependent, mean_absorption_time
 from eecsim.collab import (
     MecParams,
+    alpha_grid,
     best_segmentation,
     bias_sweep,
     combined_delay,
@@ -89,17 +90,35 @@ class TestEdgeDelayUnderBias:
         with pytest.raises(UnservableError):
             eec_delay_under_bias(1.0, radio, empty, task, n_max=5)
 
+    def test_sweep_matches_one_alpha_at_a_time(self, radio, deploy, task, mec):
+        alphas = [0.0, 0.3, 1.0]
+        points = bias_sweep(alphas, radio, deploy, task, mec, n_max=12)
+        for alpha, point in zip(alphas, points):
+            alone = eec_delay_under_bias(alpha, radio, deploy, task, n_max=12)
+            assert (point.tau_eec_s, point.eec_optimal_n) == (alone.delay_s, alone.optimal_n)
+
+    def test_first_unservable_alpha_is_reported(self, radio, deploy, task, mec):
+        # mean LoS worker mass about 3e-6 at alpha = 0, idle workers vanish
+        # under any edge load: alpha = 0.1 is the first that cannot serve
+        sparse = replace(deploy, worker_intensity_per_m2=1e-10)
+        with pytest.raises(UnservableError) as info:
+            bias_sweep(alpha_grid(0.1), radio, sparse, task, mec, n_max=8)
+        assert info.value.diagnostic["alpha"] == 0.1
+        assert info.value.diagnostic["mean_los_workers"] < 1e-6
+
 
 class TestBestSegmentation:
     def test_first_minimum_over_usable_counts(self):
         rates = np.array([2.0, 1.0, 0.5, 0.0, 0.3])
-        best = best_segmentation(rates, [0.1, 0.5])
-        assert len(best) == 2
-        for mu_f, (best_n, delays) in zip([0.1, 0.5], best):
-            # the search stops at the first zero rate
-            assert delays == tuple(mean_absorption_time(
-                build_level_dependent(n, rates[:n].tolist(), mu_f)) for n in (1, 2, 3))
-            assert best_n == delays.index(min(delays)) + 1
+        other = np.array([0.4, 0.9])
+        best = best_segmentation([rates, other], [0.1, 0.5])
+        assert [len(row) for row in best] == [2, 2]
+        # the search stops at the first zero rate
+        for vector, counts, row in zip((rates, other), ((1, 2, 3), (1, 2)), best):
+            for mu_f, (best_n, delays) in zip([0.1, 0.5], row):
+                assert delays == tuple(mean_absorption_time(
+                    build_level_dependent(n, vector[:n].tolist(), mu_f)) for n in counts)
+                assert best_n == delays.index(min(delays)) + 1
 
     def test_matches_edge_operating_point(self, radio, deploy, task):
         point = eec_delay_under_bias(0.5, radio, deploy, task, n_max=12)
@@ -107,7 +126,9 @@ class TestBestSegmentation:
 
     def test_no_servable_rate(self):
         with pytest.raises(UnservableError) as info:
-            best_segmentation(np.zeros(3), [0.02], diagnostic={"nu_w_per_m2": 0.0})
+            best_segmentation([np.ones(3), np.zeros(3), np.zeros(2)], [0.02],
+                              [{"nu_w_per_m2": 1.0}, {"nu_w_per_m2": 0.0}, {"nu_w_per_m2": -1}])
+        # the first vector that cannot serve, before anything is solved
         assert info.value.diagnostic == {"nu_w_per_m2": 0.0}
 
 

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from eecsim import chain, cli, collab, coverage
 from eecsim.chain import worker_idle_probability
 from eecsim.cli import main
 from eecsim.config import config_hash, load_config, preset, resolve_config
@@ -248,6 +249,50 @@ class TestBiasCommand:
         meta, header, rows = read_csv(out)
         assert any(line.startswith("# alpha_star:") for line in meta)
         assert [r[header.index("is_optimal")] for r in rows].count("true") == 1
+
+
+@pytest.fixture
+def engine_calls(monkeypatch):
+    """Calls of the coverage engine and of the chain solver, under every
+    name a module looks them up by."""
+    calls = {"success_table": 0, "solve_chains": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module in (cli, collab, coverage):
+        count(module, "success_table")
+    for module in (cli, collab, chain):
+        count(module, "solve_chains")
+    return calls
+
+
+class TestOneCallPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["delay", "--n", "1:12:1", "--variant", "random", "--variant", "ordered",
+         "--variant", "ordered+failure"],
+        ["completion", "--n", "1:6:1", "--l", "1,2,5"],
+        ["contour", "--nu-w", "1e-4,7e-4", "--mu-f", "0.005,0.1", "--n-max", "10"],
+        ["bias", "--alpha-step", "0.25", "--n-max", "8"],
+        ["validate", "--reps", "50"],
+    ], ids=lambda argv: argv[0])
+    def test_one_engine_and_one_solver_call(self, engine_calls, tmp_path, argv):
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 1)
+        assert engine_calls == {"success_table": 1, "solve_chains": 1}
+
+    def test_bias_reports_the_first_unservable_alpha(self, tmp_path, capsys):
+        # about 3e-6 mean LoS workers at alpha = 0, none idle from alpha = 0.1
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps({"deploy": {"worker_intensity_per_m2": 1e-10}}))
+        assert main(["bias", "--n-max", "8", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: no line-of-sight worker mass under this bias\n")
 
 
 class TestValidateCommand:

@@ -16,14 +16,11 @@ from eecsim.coverage import (
     RandomSelection,
     RankedSelection,
     ServingDensity,
-    interference_exponent_los,
-    interference_exponent_nlos,
     ordered_distance_pdf,
     ranked_success_probabilities,
     success_curves,
     success_probability,
     success_table,
-    worker_availability_mass,
 )
 from eecsim.errors import ParameterError, QuadratureError
 from eecsim.params import DeploymentParams, alzer_eta, db_to_linear, directivity_distribution
@@ -46,7 +43,7 @@ def riemann_w(j, r0, radio, nu_r, panels=1_000_000):
     """Midpoint-rule oracle for the LoS interference exponent."""
     eta = alzer_eta(radio.nakagami_los)
     aligned = radio.main_lobe * radio.main_lobe
-    xi = radio.sinr_threshold
+    xi = db_to_linear(radio.sinr_threshold_db)
     n_l = radio.nakagami_los
     rl = radio.los_radius_m
     x = (np.arange(panels) + 0.5) * (rl / panels)
@@ -62,7 +59,7 @@ def riemann_z(j, r0, radio, nu_r, panels=3_000_000, span=3000.0):
     """Midpoint-rule oracle for the NLoS exponent, truncated at span * R_L."""
     eta = alzer_eta(radio.nakagami_los)
     aligned = radio.main_lobe * radio.main_lobe
-    xi = radio.sinr_threshold
+    xi = db_to_linear(radio.sinr_threshold_db)
     n_n = radio.nakagami_nlos
     rl = radio.los_radius_m
     hi = span * rl
@@ -76,35 +73,46 @@ def riemann_z(j, r0, radio, nu_r, panels=3_000_000, span=3000.0):
     return 2.0 * math.pi * nu_r * total
 
 
+def exponents(radio, nu_r, r0=50.0):
+    """W_1 and Z_1 at one serving distance from the engine's inner rules,
+    refined by its node-doubling loop."""
+    xi = db_to_linear(radio.sinr_threshold_db)
+
+    def evaluate(n, pending):
+        w, z = coverage._wz_exponents(np.array([r0]), radio, nu_r, xi, n)
+        return {"W": float(w[0, 0]), "Z": float(z[0, 0])}
+
+    done = coverage._refine(evaluate, ["W", "Z"], QuadratureConfig(), "exponents")
+    return done["W"], done["Z"]
+
+
 class TestInterferenceExponents:
     def test_w_zero_without_interferers(self, radio):
-        q = CoverageQuery(radio, DeploymentParams(7e-4, 0.0))
-        assert interference_exponent_los(1, 50.0, q) == 0.0
-        assert interference_exponent_nlos(1, 50.0, q) == 0.0
+        w, z = exponents(radio, 0.0)
+        assert w == z == 0.0
 
     def test_w_vanishes_with_threshold(self, radio, deploy):
         # threshold -> 0+ in the linear domain
-        q = CoverageQuery(replace(radio, sinr_threshold_db=-300.0), deploy)
-        assert interference_exponent_los(1, 50.0, q) < 1e-25
-        assert interference_exponent_nlos(1, 50.0, q) < 1e-25
+        w, z = exponents(replace(radio, sinr_threshold_db=-300.0),
+                            deploy.requester_intensity_per_m2)
+        assert w < 1e-25
+        assert z < 1e-25
 
     def test_w_against_riemann_oracle(self, radio, deploy):
-        q = CoverageQuery(radio, deploy)
-        got = interference_exponent_los(1, 50.0, q)
+        w, _ = exponents(radio, deploy.requester_intensity_per_m2)
         want = riemann_w(1, 50.0, radio, deploy.requester_intensity_per_m2)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert w == pytest.approx(want, rel=1e-6)
 
     def test_z_against_riemann_oracle(self, radio, deploy):
-        q = CoverageQuery(radio, deploy)
-        got = interference_exponent_nlos(1, 50.0, q)
+        _, z = exponents(radio, deploy.requester_intensity_per_m2)
         want = riemann_z(1, 50.0, radio, deploy.requester_intensity_per_m2)
-        assert got == pytest.approx(want, rel=1e-6)
+        assert z == pytest.approx(want, rel=1e-6)
 
     def test_nlos_integrand_decay_per_decade(self, radio):
         # the kernel of the improper integral decays like x^(1 - alpha_N),
         # which is what makes the inverse-map substitution well behaved
         eta = alzer_eta(radio.nakagami_los)
-        xi = radio.sinr_threshold
+        xi = db_to_linear(radio.sinr_threshold_db)
         n_n = radio.nakagami_nlos
         rl = radio.los_radius_m
 
@@ -117,19 +125,11 @@ class TestInterferenceExponents:
         expected = 10.0 ** (1.0 - radio.pathloss_exp_nlos)
         assert ratio == pytest.approx(expected, rel=0.01)
 
-    def test_domain_checks(self, radio, deploy):
-        q = CoverageQuery(radio, deploy)
-        with pytest.raises(ParameterError):
-            interference_exponent_los(0, 50.0, q)
-        with pytest.raises(ParameterError):
-            interference_exponent_los(1, 0.0, q)
-        with pytest.raises(ParameterError):
-            interference_exponent_los(1, radio.los_radius_m * 2, q)
-
     def test_nlos_divergent_exponent_rejected(self, radio, deploy):
-        q = CoverageQuery(replace(radio, pathloss_exp_nlos=2.0), deploy)
-        with pytest.raises(QuadratureError):
-            interference_exponent_nlos(1, 50.0, q)
+        divergent = replace(radio, pathloss_exp_nlos=2.0)
+        with pytest.raises(QuadratureError) as info:
+            success_table(divergent, [ServingDensity(deploy)], [5.0])
+        assert info.value.achieved is None
 
 
 class TestSuccessProbability:
@@ -222,22 +222,34 @@ class TestOrderedDistance:
             ordered_distance_pdf(0, 10.0, deploy, 100.0)
 
 
+def rank_mass(k, deploy, rl=100.0, nodes=800):
+    """Total mass of the rank-k density by Gauss-Legendre quadrature."""
+    r, w = np.polynomial.legendre.leggauss(nodes)
+    return float((ordered_distance_pdf(k, 0.5 * rl * (r + 1.0), deploy, rl)
+                  * (0.5 * rl * w)).sum())
+
+
+def poisson_tail(k, v):
+    """P(N >= k) for a Poisson count of mean v, by direct summation."""
+    return 1.0 - sum(math.exp(-v) * v ** j / math.factorial(j) for j in range(k))
+
+
 class TestAvailabilityMass:
-    def test_saturates(self, deploy):
+    """The rank-k density integrates to the probability that at least k
+    LoS workers exist."""
+
+    def test_saturates(self):
         huge = DeploymentParams(1.0, 0.0)  # V = pi * 1e4
-        assert worker_availability_mass(1, huge, 100.0) == pytest.approx(1.0)
+        assert rank_mass(1, huge) == pytest.approx(1.0, rel=1e-9)
 
     def test_first_worker(self, deploy):
         v = deploy.mean_los_workers(100.0)
-        got = worker_availability_mass(1, deploy, 100.0)
-        assert got == pytest.approx(1.0 - math.exp(-v), abs=1e-12)
+        assert rank_mass(1, deploy) == pytest.approx(1.0 - math.exp(-v), abs=1e-12)
 
     def test_deep_rank_tail(self, deploy):
-        # frozen from the direct-summation oracle at V = 7 * pi
-        v = deploy.mean_los_workers(100.0)
-        tail = 1.0 - sum(math.exp(-v) * v ** j / math.factorial(j) for j in range(30))
-        got = worker_availability_mass(30, deploy, 100.0)
-        assert got == pytest.approx(tail, abs=1e-12)
+        v = deploy.mean_los_workers(100.0)  # 7 * pi
+        got = rank_mass(30, deploy)
+        assert got == pytest.approx(poisson_tail(30, v), abs=1e-12)
         assert got == pytest.approx(0.05998, abs=5e-5)
 
 
@@ -299,17 +311,19 @@ class TestEngine:
     @given(xis=st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=3),
            rl=st.floats(10.0, 1000.0),
            log_nu_w=st.floats(-6.0, -2.0),
-           log_nu_r=st.floats(-6.0, -2.0),
+           log_nu_rs=st.lists(st.floats(-6.0, -2.0), min_size=1, max_size=3),
            selections=st.lists(_selection, min_size=1, max_size=4),
            block=st.integers(1, 8))
-    def test_batch_matches_per_quantity_loop(self, radio, xis, rl, log_nu_w, log_nu_r,
+    def test_batch_matches_per_quantity_loop(self, radio, xis, rl, log_nu_w, log_nu_rs,
                                              selections, block):
         cfg = QuadratureConfig(max_nodes=512)
         radio = replace(radio, los_radius_m=rl)
-        deploy = DeploymentParams(10.0 ** log_nu_w, 10.0 ** log_nu_r)
-        densities = [ServingDensity(deploy) if isinstance(s, RandomSelection)
-                     else ServingDensity(deploy, (s.rank,)) for s in selections]
-        densities.append(ServingDensity(deploy, range(1, block + 1)))
+        deploys = [DeploymentParams(10.0 ** log_nu_w, 10.0 ** e) for e in log_nu_rs]
+        # every selection and the rank block at each requester intensity
+        densities = [density for deploy in deploys for density in
+                     [ServingDensity(deploy) if isinstance(s, RandomSelection)
+                      else ServingDensity(deploy, (s.rank,)) for s in selections]
+                     + [ServingDensity(deploy, range(1, block + 1))]]
         try:
             want = [[per_quantity(radio, d, xi, cfg) for xi in xis] for d in densities]
         except QuadratureError:
@@ -320,9 +334,22 @@ class TestEngine:
         for got_row, want_row in zip(got, want):
             for g, w in zip(got_row, want_row):
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
-        curves = success_curves(radio, deploy, selections, xis, cfg)
-        scalars = [[float(np.ravel(p)[0]) for p in row] for row in got[:-1]]
+        curves = success_curves(radio, deploys[0], selections, xis, cfg)
+        scalars = [[float(np.ravel(p)[0]) for p in row] for row in got[:len(selections)]]
         assert curves.tolist() == scalars
+
+    def test_mixed_intensities_match_separate_tables(self, radio, deploy):
+        deploys = [replace(deploy, requester_intensity_per_m2=nu)
+                   for nu in (0.0, 1e-5, 1e-4, 4e-4)]
+        densities = [d for dep in deploys
+                     for d in (ServingDensity(dep), ServingDensity(dep, range(1, 6)))]
+        xis = [-5.0, 5.0, 12.0]
+        mixed = success_table(radio, densities, xis)
+        for i in range(len(deploys)):
+            alone = success_table(radio, densities[2 * i:2 * i + 2], xis)
+            assert mixed[2 * i][:] == alone[0]  # floats, bitwise
+            for got, want in zip(mixed[2 * i + 1], alone[1]):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("argv,calls", [
         # 36 thresholds, each converged at 64 -> 128 nodes for all four
@@ -334,6 +361,8 @@ class TestEngine:
           "--variant", "ordered+failure"], 2),
         # the kernel does not depend on the worker intensity
         (["contour", "--nu-w", "1e-4,3e-4,7e-4", "--mu-f", "0.02"], 2),
+        # one kernel per requester intensity: alpha = 0, 0.5 and 1
+        (["bias", "--alpha-step", "0.5", "--n-max", "8"], 6),
     ])
     def test_one_kernel_per_threshold_and_node_count(self, kernel_calls, argv, calls):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -349,7 +378,8 @@ class TestEngine:
 
     def test_kernel_rows_in_bounded_blocks(self, radio, deploy):
         r0, _ = coverage._gauss_nodes(2048, 0.0, radio.los_radius_m)
-        args = (radio, deploy.requester_intensity_per_m2, radio.sinr_threshold, 4096)
+        args = (radio, deploy.requester_intensity_per_m2,
+                db_to_linear(radio.sinr_threshold_db), 4096)
         # build the cached inner nodes first: only the kernel's own
         # temporaries count against the bound
         coverage._gauss_nodes(4096, 0.0, 1.0)
@@ -365,11 +395,6 @@ class TestEngine:
         step = 99
         chunks = [coverage._kernel(r0[lo:lo + step], *args) for lo in range(0, r0.size, step)]
         assert np.array_equal(whole, np.concatenate(chunks))
-
-    def test_densities_must_share_requester_intensity(self, radio, deploy):
-        other = replace(deploy, requester_intensity_per_m2=2 * deploy.requester_intensity_per_m2)
-        with pytest.raises(ParameterError):
-            success_table(radio, [ServingDensity(deploy), ServingDensity(other)], [5.0])
 
     @pytest.mark.parametrize("ranks", [(), (0,), (1, 2.0)])
     def test_bad_rank_blocks_rejected(self, deploy, ranks):

@@ -23,7 +23,7 @@ from eecsim.montecarlo import (
     empirical_delay,
     empirical_success_curve,
 )
-from eecsim.params import DeploymentParams, directivity_distribution
+from eecsim.params import DeploymentParams, db_to_linear, directivity_distribution
 
 # the coverage analysis carries a small gamma-tail approximation bias on
 # top of the binomial noise
@@ -245,10 +245,11 @@ class TestEmpiricalCoverage:
         reps = 15_000
         arena = default_arena_radius(radio, deploy)
         hits = dict.fromkeys([(rule, a) for rule in ("nearest", "random") for a in ANCHORS], 0)
+        threshold = db_to_linear(radio.sinr_threshold_db)
         for rep in range(reps):
             sinrs = oracle_sinrs(np.random.default_rng((2718, rep)), radio, deploy, arena)
             for key, sinr in sinrs.items():
-                hits[key] += sinr > radio.sinr_threshold
+                hits[key] += sinr > threshold
         cfg = SimConfig(seed=77, replications=reps)
         for (rule, anchor), count in hits.items():
             selection = RankedSelection(1) if rule == "nearest" else RandomSelection()
