@@ -20,7 +20,6 @@ from dataclasses import replace
 from itertools import product
 
 import numpy as np
-from scipy import special
 
 from . import __version__
 from .chain import (
@@ -305,6 +304,85 @@ def cmd_bias(config: ScenarioConfig, args) -> int:
     return 0
 
 
+# B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of log Gamma, whose
+# next term is below 1e-17 from x = 20 on
+_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
+
+
+def _stirling_remainder(x: float) -> float:
+    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2, for x >= 20."""
+    inv2 = 1.0 / (x * x)
+    total = 0.0
+    for c in reversed(_STIRLING):
+        total = total * inv2 + c
+    return total / x
+
+
+def _t_tail_fraction(df: int, t2: float) -> float:
+    """G in P(T > t) = t f(t) / (df G), for Student's T with density f.
+
+    1 / G is the incomplete-beta continued fraction of
+    P(T > t) = I_x(a, 1/2) / 2, a = df / 2, x = df / (df + t^2):
+    G = 1 + d_1 / (1 + d_2 / (1 + ...)), evaluated as its odd part
+    (1 + d_1) - d_1 d_2 / ((1 + d_2 + d_3) - d_3 d_4 / (...)) by Lentz's
+    method.  Each 1 + d_{2m+1} is summed from positive terms, with 1 - x
+    read as y = t^2 / (df + t^2): forming 1 - x would lose log10(df)
+    digits as x -> 1.
+    """
+    a, b = 0.5 * df, 0.5
+    x, y = df / (df + t2), t2 / (df + t2)
+
+    def odd(m):  # d_{2m+1} and 1 + d_{2m+1}
+        den = (a + 2 * m) * (a + 2 * m + 1)
+        return (-(a + m) * (a + b + m) * x / den,
+                (a * (2 * m + 1 - b) + m * (3 * m + 2 - b) + (a + m) * (a + b + m) * y) / den)
+
+    d_prev, g = odd(0)
+    c, d = g, 0.0
+    for m in range(1, 200):
+        d_even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        d_odd, one_plus_odd = odd(m)
+        num, den = -d_prev * d_even, one_plus_odd + d_even
+        d = 1.0 / (den + num * d)
+        c = den + num / c
+        g *= c * d
+        if abs(c * d - 1.0) < 1e-15:
+            return g
+        d_prev = d_odd
+    raise ArithmeticError(f"t tail fraction did not converge at df={df}")
+
+
+def _t_upper_quantile(df: int, q: float) -> float:
+    """The t with P(T > t) = q for Student's T on ``df`` degrees of freedom.
+
+    Meant for small tails: at validate's q = 0.00135 (t >= 3) the fraction
+    converges in under 25 steps, and larger q need more.  Newton's method
+    runs on log P(T > t) as a function of s = log t, whose slope is -df G
+    (see :func:`_t_tail_fraction`).  The tail is close to a power of t for
+    small df and to a Gaussian for large df, and a start at t = 3
+    converges in a few steps for both.
+    """
+    a = 0.5 * df
+    if a < 20.0:
+        # log(Gamma(a + 1/2) / (Gamma(a) sqrt(df pi))), the density's scale
+        log_scale = math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(df * math.pi)
+    else:
+        # the same from Stirling's series: the two lgamma values would cancel
+        # to 8 digits at df = 10^7
+        log_scale = (a * math.log1p(0.5 / a) - 0.5 - 0.5 * math.log(2.0 * math.pi)
+                     + _stirling_remainder(a + 0.5) - _stirling_remainder(a))
+    s = math.log(3.0)
+    for _ in range(50):
+        t2 = math.exp(2.0 * s)
+        g = _t_tail_fraction(df, t2)
+        log_tail = s + log_scale - (a + 0.5) * math.log1p(t2 / df) - math.log(df * g)
+        step = (log_tail - math.log(q)) / (df * g)
+        s += step
+        if abs(step) < 1e-12:
+            return math.exp(s)
+    raise ArithmeticError(f"t quantile did not converge at df={df}")
+
+
 def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     """All analytic-versus-simulation checks; returns (rows, all_pass)."""
     rows = []
@@ -321,7 +399,7 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
                         arena_half_width_m=config.sim.arena_half_width_m)
     # small-sample mean checks need the 3-sigma-equivalent t quantile, since
     # the standard error is itself estimated from the replications
-    t_factor = float(special.stdtrit(reps - 1, 1.0 - 0.00135)) if reps > 1 else math.inf
+    t_factor = _t_upper_quantile(reps - 1, 0.00135) if reps > 1 else math.inf
 
     # every analytic success probability below, from one engine call
     n_values = (1, 2, 4, 6)
@@ -332,20 +410,22 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     # coverage, both selection rules, at the scenario threshold; the test
     # standard error comes from the analytic probability (known-null test),
     # which stays positive even when a tiny sample is all successes
+    estimates = []
     for selection, analytic in ((RandomSelection(), p_random),
                                 (RankedSelection(1), float(p_nearest[0]))):
         query = CoverageQuery(config.radio, config.deploy, selection)
         est = empirical_success_curve(sim_cfg, query, [config.radio.sinr_threshold_db],
                                       chunk_size=chunk)[0]
+        estimates.append(est)
         null_se = math.sqrt(analytic * (1.0 - analytic) / reps)
         tol = 3.0 * null_se + 0.02
         all_ok &= add(f"coverage/{_selection_name(selection)}", analytic,
                       est.estimate, null_se, tol)
 
-    # blockage-classification toggle: informational gap, always reported
+    # blockage-classification toggle: informational gap, always reported; the
+    # worker-anchored side is the random-selection estimate above
+    worker_c = estimates[0]
     query = CoverageQuery(config.radio, config.deploy, RandomSelection())
-    worker_c = empirical_success_curve(sim_cfg, query, [config.radio.sinr_threshold_db],
-                                       los_classification="worker", chunk_size=chunk)[0]
     req_c = empirical_success_curve(sim_cfg, query, [config.radio.sinr_threshold_db],
                                     los_classification="requester", chunk_size=chunk)[0]
     rows.append(["coverage/classification_toggle_gap", worker_c.estimate, req_c.estimate,

@@ -21,7 +21,7 @@ from itertools import islice
 from .chain import build_level_dependent, solve_chains, worker_idle_probability
 from .coverage import ServingDensity, success_table
 from .errors import ParameterError, UnservableError
-from .params import DeploymentParams, RadioParams, TaskParams
+from .params import DeploymentParams, RadioParams, TaskParams, require_finite
 
 __all__ = [
     "MecParams",
@@ -59,6 +59,7 @@ class MecParams:
     offload_success_prob: float = 1.0
 
     def __post_init__(self):
+        require_finite(self)
         if self.power_ratio <= 0:
             raise ParameterError("power_ratio must be positive")
         if self.mec_task_rate_mu_f <= 0:

@@ -26,7 +26,7 @@ import numpy as np
 from .chain import FAIL, ChainModel, _Lanes
 from .coverage import CoverageQuery, RandomSelection, RankedSelection
 from .errors import ParameterError
-from .params import DeploymentParams, RadioParams, directivity_distribution
+from .params import DeploymentParams, RadioParams, directivity_distribution, require_finite
 
 __all__ = [
     "SimConfig",
@@ -57,6 +57,7 @@ class SimConfig:
     arena_half_width_m: float | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MAX_SEED:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if not isinstance(self.replications, int) or isinstance(self.replications, bool) or self.replications < 1:

@@ -22,6 +22,18 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
+def require_finite(params) -> None:
+    """Reject a NaN or infinite float in any field of a parameter dataclass.
+
+    JSON scenario files can spell both (``NaN``, ``Infinity``), and range
+    checks such as ``x <= 0`` let NaN through.
+    """
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be finite, got {value!r}")
+
+
 def alzer_eta(shape: int) -> float:
     """Tail constant N * (N!)^(-1/N) for an integer-shape gamma variate.
 
@@ -56,6 +68,7 @@ class RadioParams:
     noise_normalized_db: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.los_radius_m <= 0:
             raise ParameterError("los_radius_m must be positive")
         if self.pathloss_exp_los < 2 or self.pathloss_exp_nlos < 2:
@@ -69,9 +82,6 @@ class RadioParams:
             raise ParameterError("main_lobe_db must be >= side_lobe_db")
         if not 0.0 < self.beamwidth_rad < TWO_PI:
             raise ParameterError("beamwidth_rad must lie in (0, 2*pi)")
-        for f in fields(self):
-            if not math.isfinite(float(getattr(self, f.name))):
-                raise ParameterError(f"{f.name} must be finite")
 
     # Linear-domain views, converted on every read.
     @property
@@ -126,11 +136,9 @@ class DeploymentParams:
     requester_intensity_per_m2: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.worker_intensity_per_m2 < 0 or self.requester_intensity_per_m2 < 0:
             raise ParameterError("intensities must be nonnegative")
-        if not (math.isfinite(self.worker_intensity_per_m2)
-                and math.isfinite(self.requester_intensity_per_m2)):
-            raise ParameterError("intensities must be finite")
 
     def mean_los_workers(self, los_radius_m: float) -> float:
         """Expected worker count inside the line-of-sight disk."""
@@ -150,6 +158,7 @@ class TaskParams:
     d2d_slot_s: float
 
     def __post_init__(self):
+        require_finite(self)
         if self.task_exec_rate_per_s <= 0:
             raise ParameterError("task_exec_rate_per_s must be positive")
         if self.d2d_slot_s <= 0:
@@ -170,6 +179,7 @@ class ReliabilityParams:
     spare_budget: int | None = None
 
     def __post_init__(self):
+        require_finite(self)
         if self.reliability_l <= 0:
             raise ParameterError("reliability_l must be positive")
         if self.spare_budget is not None:

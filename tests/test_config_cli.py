@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -6,11 +7,12 @@ import subprocess
 import sys
 
 import pytest
+from scipy.special import stdtrit
 
 from eecsim import chain, cli, collab, coverage
 from eecsim.chain import worker_idle_probability
 from eecsim.cli import main
-from eecsim.config import config_hash, load_config, preset, resolve_config
+from eecsim.config import _SECTIONS, config_hash, load_config, preset, resolve_config
 from eecsim.errors import ConfigError
 
 
@@ -286,6 +288,20 @@ class TestOneCallPerCommand:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 1)
         assert engine_calls == {"success_table": 1, "solve_chains": 1}
 
+    def test_validate_samples_coverage_three_times(self, monkeypatch, tmp_path):
+        # coverage/random is also the worker-anchored side of the
+        # classification toggle, so it is sampled once
+        calls = []
+        original = cli.empirical_success_curve
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("los_classification", "worker"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "empirical_success_curve", counting)
+        assert main(["validate", "--reps", "50", "--out", str(tmp_path / "out.csv")]) in (0, 1)
+        assert calls == ["worker", "worker", "requester"]
+
     def test_bias_reports_the_first_unservable_alpha(self, tmp_path, capsys):
         # about 3e-6 mean LoS workers at alpha = 0, none idle from alpha = 0.1
         path = tmp_path / "sparse.json"
@@ -331,6 +347,35 @@ class TestValidateCommand:
                      "--seed", str(scenario.sim.seed), "--out", str(out)]) == 0
 
 
+class TestTQuantile:
+    """validate's 3-sigma-equivalent t factor, against scipy as the oracle."""
+
+    Q = 0.00135
+
+    def test_matches_stdtrit(self):
+        for df in [*range(1, 101), 399, 1999, 2499, 9999, 99999, 10 ** 6, 10 ** 7]:
+            want = float(stdtrit(df, 1.0 - self.Q))
+            rel = 1e-12 if df <= 10 ** 5 else 1e-11
+            assert cli._t_upper_quantile(df, self.Q) == pytest.approx(want, rel=rel), df
+
+    @pytest.mark.parametrize("q", [0.00135, 0.01, 0.025])
+    def test_closed_forms(self, q):
+        # df = 1: tan(pi (1/2 - q)), written 1 / tan(pi q) to avoid the
+        # rounding of the argument near pi / 2
+        assert cli._t_upper_quantile(1, q) == pytest.approx(
+            1.0 / math.tan(math.pi * q), rel=1e-14)
+        assert cli._t_upper_quantile(2, q) == pytest.approx(
+            (1.0 - 2.0 * q) / math.sqrt(2.0 * q * (1.0 - q)), rel=1e-14)
+
+    def test_single_replication_gives_an_infinite_factor(self, tmp_path):
+        out = tmp_path / "one.csv"
+        assert main(["validate", "--reps", "1", "--out", str(out)]) in (0, 1)
+        _, header, rows = read_csv(out)
+        tolerances = [r[header.index("tolerance")] for r in rows if r[0].startswith("delay/")]
+        assert len(tolerances) == 12
+        assert set(tolerances) == {"inf"}
+
+
 class TestCliErrors:
     def test_corrupted_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -350,13 +395,28 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: section 'task': unknown key(s) ['segments']")
 
-    def test_import_does_not_load_scipy_stats(self):
-        # scipy.stats costs most of a command's start-up time
-        code = "import sys, eecsim.cli; print('scipy.stats' in sys.modules)"
+    @pytest.mark.parametrize("section,field", [
+        (section, f.name) for section, cls in _SECTIONS.items()
+        for f in dataclasses.fields(cls) if "float" in f.type])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_exits_2(self, tmp_path, capsys, section, field, value):
+        # json reads NaN and Infinity; the range checks alone let NaN through
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps({section: {field: value}}))
+        assert main(["bias", "--alpha-step", "0.5", "--n-max", "2",
+                     "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {section}: {field} must be finite, got {value!r}\n")
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency; scipy is a test oracle, and
+        # importing it would double a command's start-up time
+        code = ("import sys, eecsim.cli; "
+                "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_bad_selection_exits_2(self, tmp_path):
         assert main(["coverage", "--xi", "0", "--selection", "nearest"]) == 2
