@@ -56,6 +56,8 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"grid {text!r} must be start:stop:step or a comma list")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ConfigError(f"grid {text!r} needs a finite start, stop and step")
         if step <= 0:
             raise ConfigError("grid step must be positive")
         count = int(round((stop - start) / step))
@@ -68,7 +70,7 @@ def _parse_int_grid(text: str) -> list[int]:
     values = _parse_grid(text)
     out = []
     for v in values:
-        if abs(v - round(v)) > 1e-9:
+        if not math.isfinite(v) or abs(v - round(v)) > 1e-9:
             raise ConfigError(f"expected integers in grid, got {v}")
         out.append(int(round(v)))
     return out
@@ -139,9 +141,7 @@ def _base_metadata(command: str, config: ScenarioConfig, seed: int) -> list[tupl
 def _scenario_overrides(config: ScenarioConfig, scenario: str) -> ScenarioConfig:
     """Apply a named bias-study perturbation to the resolved scenario."""
     deploy, task, mec = config.deploy, config.task, config.mec
-    if scenario == "base":
-        pass
-    elif scenario == "low_mu_f":
+    if scenario == "low_mu_f":
         task = replace(task, task_exec_rate_per_s=0.002)
         mec = replace(mec, mec_task_rate_mu_f=0.002)
     elif scenario == "low_nu_w":
@@ -150,7 +150,7 @@ def _scenario_overrides(config: ScenarioConfig, scenario: str) -> ScenarioConfig
         deploy = replace(deploy, requester_intensity_per_m2=deploy.requester_intensity_per_m2 / 4)
     elif scenario == "high_nu_r":
         deploy = replace(deploy, requester_intensity_per_m2=deploy.requester_intensity_per_m2 * 4)
-    else:
+    elif scenario != "base":
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {BIAS_SCENARIOS}")
     return replace(config, deploy=deploy, task=task, mec=mec)
 
@@ -226,6 +226,8 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
     models = [_delay_model(config, variant, n, lam, rates)
               for variant in variants for n in n_grid]
     delays = solve_chains(models)[0]
+    if args.simulate:
+        sims = empirical_delay(SimConfig(seed=args.seed, replications=args.reps), models)
     rows = []
     for v, variant in enumerate(variants):
         block = delays[v * len(n_grid):(v + 1) * len(n_grid)]
@@ -233,8 +235,7 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
         for i, n in enumerate(n_grid):
             row = [variant, n, block[i], i == best]
             if args.simulate:
-                est = empirical_delay(SimConfig(seed=args.seed, replications=args.reps),
-                                      models[v * len(n_grid) + i])
+                est = sims[v * len(n_grid) + i]
                 row += [est.mean_delay_s, est.std_error_s, est.completion_fraction]
             rows.append(row)
     meta = _base_metadata("delay", config, args.seed)
@@ -258,12 +259,13 @@ def cmd_completion(config: ScenarioConfig, args) -> int:
         cells = list(product(l_values, n_grid))
         models = [build_failure_chain(n, rates[:n].tolist(), config.task.task_exec_rate_per_s,
                                       l, spare_budget=budget) for l, n in cells]
-        for (l, n), model, analytic in zip(cells, models, solve_chains(models)[1]):
+        if args.simulate:
+            sims = empirical_delay(SimConfig(seed=args.seed, replications=args.reps), models)
+        for i, ((l, n), analytic) in enumerate(zip(cells, solve_chains(models)[1])):
             row = [l, n, budget, analytic]
             if args.simulate:
-                est = empirical_delay(SimConfig(seed=args.seed, replications=args.reps), model)
                 se = (analytic * (1.0 - analytic) / args.reps) ** 0.5
-                row += [est.completion_fraction, se]
+                row += [sims[i].completion_fraction, se]
             rows.append(row)
     meta = _base_metadata("completion", config, args.seed)
     _write_csv(args.out, meta, header, rows)
@@ -442,18 +444,17 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     models += [build_failure_chain(n, rates[:n].tolist(), mu_f, l, spare_budget=0)
                for n in completion_ns]
     times, completions = solve_chains(models)
+    sims = empirical_delay(sim_cfg, models, chunk_size=chunk)
 
-    for (variant, n), model, analytic in zip(delay_cells, models, times):
-        est = empirical_delay(sim_cfg, model, chunk_size=chunk)
+    for (variant, n), est, analytic in zip(delay_cells, sims, times):
         all_ok &= add(f"delay/{variant}/n={n}", analytic, est.mean_delay_s,
                       est.std_error_s, t_factor * est.std_error_s)
 
     # completion probability against the no-spare closed form and simulation
-    for n, model, analytic in zip(completion_ns, models[len(delay_cells):],
-                                  completions[len(delay_cells):]):
+    for n, est, analytic in zip(completion_ns, sims[len(delay_cells):],
+                                completions[len(delay_cells):]):
         closed = (n * n * l / (n * n * l + 1.0)) ** n
         all_ok &= add(f"completion/closed_form/n={n}", closed, analytic, 0.0, 1e-12)
-        est = empirical_delay(sim_cfg, model, chunk_size=chunk)
         se = (analytic * (1 - analytic) / reps) ** 0.5
         all_ok &= add(f"completion/simulated/n={n}", analytic,
                       est.completion_fraction, se, 3.0 * se + 1e-9)
@@ -557,10 +558,7 @@ def main(argv=None) -> int:
         if getattr(args, "reps", None) is None:
             args.reps = config.sim.replications
         return _COMMANDS[args.command](config, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, QuadratureError, UnservableError) as exc:
+    except (ConfigError, ParameterError, QuadratureError, UnservableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -249,12 +249,9 @@ def bias_sweep(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskP
 def optimal_bias(grid_step: float, radio: RadioParams, deploy: DeploymentParams,
                  task: TaskParams, mec: MecParams, n_max: int = 50) -> BiasPoint:
     """Grid argmin of the blended objective; ties go to the smaller alpha."""
-    points = bias_sweep(alpha_grid(grid_step), radio, deploy, task, mec, n_max=n_max)
-    best = points[0]
-    for p in points[1:]:
-        if p.tau_alpha_s < best.tau_alpha_s:
-            best = p
-    return best
+    # min() keeps the first of equal values, the smallest alpha on the grid
+    return min(bias_sweep(alpha_grid(grid_step), radio, deploy, task, mec, n_max=n_max),
+               key=lambda p: p.tau_alpha_s)
 
 
 def _check_alpha(alpha: float):

@@ -4,20 +4,22 @@ Spatial side: one sampler, :func:`_rep_sinr`, draws a Poisson network per
 replication and returns the serving link's SINR under sectored-antenna
 alignment, blockage and Nakagami fading; :func:`empirical_success_curve`
 compares it with every threshold.  Temporal side: :func:`empirical_delay`
-simulates trajectories of any :class:`~eecsim.chain.ChainModel` by
+simulates trajectories of a batch of :class:`~eecsim.chain.ChainModel` by
 exponential races and estimates absorption delay and completion fractions.
 
-Reproducibility contract: every replication draws from its own
-counter-based stream derived from (master seed, replication index, purpose),
-and aggregation is exact (integer counts, correctly rounded float sums), so
-results are bit-identical no matter how replications are chunked across
-workers.
+Reproducibility contract: every replication draws from its own stream,
+keyed by (master seed, replication index, purpose), and aggregation is
+exact (integer counts, correctly rounded float sums), so results are
+bit-identical no matter how replications are chunked across workers.  The
+models of one :func:`empirical_delay` call replay each replication's
+stream, so a model's estimate is the same alone or in any batch.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -88,18 +90,18 @@ def default_arena_radius(radio: RadioParams, deploy: DeploymentParams) -> float:
     return min(max(floor, tail_radius), 100.0 * rl)
 
 
-def _spatial_key(seed: int, replication: int) -> np.ndarray:
-    ss = np.random.SeedSequence((seed, replication, _PURPOSE_SPATIAL))
-    return ss.generate_state(2, np.uint64)
+def _stream_key(seed: int, replication: int, purpose: int) -> int:
+    """128-bit key of one replication's stream for one purpose."""
+    words = np.random.SeedSequence((seed, replication, purpose)).generate_state(2, np.uint64)
+    high, low = words.tolist()
+    return high << 64 | low
 
 
 @dataclass(frozen=True)
 class CoverageEstimate:
     estimate: float
     std_error: float
-    replications: int
     resampled_realizations: int
-    xi_db: float
 
 
 def _rep_sinr(rng, radio: RadioParams, deploy: DeploymentParams, selection,
@@ -171,8 +173,7 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     resampled (sequentially within the replication's own stream) and
     counted.  Results do not depend on ``chunk_size``.
     """
-    xi_db_values = [float(x) for x in xi_db_values]
-    thresholds = np.array([10.0 ** (x / 10.0) for x in xi_db_values])
+    thresholds = np.array([10.0 ** (float(x) / 10.0) for x in xi_db_values])
     radio, deploy, selection = query.radio, query.deploy, query.selection
     if not isinstance(selection, (RandomSelection, RankedSelection)):
         raise ParameterError(f"unsupported selection {selection!r}")
@@ -190,14 +191,15 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     if chunk_size < 1:
         raise ParameterError("chunk_size must be >= 1")
     # one generator for the whole run, rewound to each replication's own
-    # stream (Philox keyed by _spatial_key, counter at zero): the same draws
-    # as a fresh generator per replication, without building one
+    # stream (Philox keyed by its two 64-bit key words, counter at zero): the
+    # same draws as a fresh generator per replication, without building one
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     for start in range(0, reps, chunk_size):
         for rep in range(start, min(start + chunk_size, reps)):
-            state["state"]["key"] = _spatial_key(cfg.seed, rep)
+            key = _stream_key(cfg.seed, rep, _PURPOSE_SPATIAL)
+            state["state"]["key"] = divmod(key, 1 << 64)
             bitgen.state = state
             attempts = 0
             while True:
@@ -213,11 +215,10 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
             resampled += attempts
             counts += sinr > thresholds
     out = []
-    for xi_db, count in zip(xi_db_values, counts.tolist()):
+    for count in counts.tolist():
         p = count / reps
         se = math.sqrt(p * (1.0 - p) / reps)
-        out.append(CoverageEstimate(estimate=p, std_error=se, replications=reps,
-                                    resampled_realizations=resampled, xi_db=xi_db))
+        out.append(CoverageEstimate(estimate=p, std_error=se, resampled_realizations=resampled))
     return out
 
 
@@ -226,7 +227,6 @@ class DelayEstimate:
     mean_delay_s: float
     std_error_s: float
     completion_fraction: float
-    replications: int
 
 
 class _JumpTables:
@@ -270,12 +270,6 @@ class _JumpTables:
                     self.targets[i] = [j for _, j in moves]
 
 
-def _trajectory_rng(seed: int, replication: int) -> random.Random:
-    ss = np.random.SeedSequence((seed, replication, _PURPOSE_TRAJECTORY))
-    words = ss.generate_state(2, np.uint64)
-    return random.Random((int(words[0]) << 64) | int(words[1]))
-
-
 def _run_trajectory(tables: _JumpTables, rng: random.Random) -> tuple[float, bool]:
     """One exponential-race trajectory, absorbed: (delay, completed)."""
     state = tables.start
@@ -292,30 +286,35 @@ def _run_trajectory(tables: _JumpTables, rng: random.Random) -> tuple[float, boo
     return t, state in tables.success
 
 
-def empirical_delay(cfg: SimConfig, model: ChainModel,
-                    chunk_size: int = 4096) -> DelayEstimate:
-    """Trajectory-averaged absorption delay and completion fraction.
+def empirical_delay(cfg: SimConfig, models: list[ChainModel],
+                    chunk_size: int = 4096) -> list[DelayEstimate]:
+    """Trajectory-averaged absorption delay and completion fraction, per model.
 
-    Deterministic for a given (seed, replications) pair; the mean is a
-    correctly rounded sum of per-replication delays, so execution chunking
-    cannot perturb the result.
+    Each replication's key is derived once and replayed for every model.
+    Each mean is a correctly rounded sum of per-replication delays, so
+    execution chunking cannot perturb the result.
     """
     if chunk_size < 1:
         raise ParameterError("chunk_size must be >= 1")
-    tables = _JumpTables(model)
+    tables = [_JumpTables(model) for model in models]
     reps = cfg.replications
-    delays: list[float] = []
-    completed = 0
+    delays = [array("d") for _ in tables]
+    completed = [0] * len(tables)
+    rng = random.Random()
     for start in range(0, reps, chunk_size):
-        for rep in range(start, min(start + chunk_size, reps)):
-            delay, done = _run_trajectory(tables, _trajectory_rng(cfg.seed, rep))
-            delays.append(delay)
-            completed += done
-    mean = math.fsum(delays) / reps
-    if reps > 1:
-        var = math.fsum((d - mean) ** 2 for d in delays) / (reps - 1)
-        se = math.sqrt(var / reps)
-    else:
-        se = math.inf
-    return DelayEstimate(mean_delay_s=mean, std_error_s=se,
-                         completion_fraction=completed / reps, replications=reps)
+        keys = [_stream_key(cfg.seed, rep, _PURPOSE_TRAJECTORY)
+                for rep in range(start, min(start + chunk_size, reps))]
+        for m, table in enumerate(tables):
+            for key in keys:
+                rng.seed(key)
+                delay, done = _run_trajectory(table, rng)
+                delays[m].append(delay)
+                completed[m] += done
+    out = []
+    for d, done in zip(delays, completed):
+        mean = math.fsum(d) / reps
+        se = (math.sqrt(math.fsum((x - mean) ** 2 for x in d) / (reps - 1) / reps)
+              if reps > 1 else math.inf)
+        out.append(DelayEstimate(mean_delay_s=mean, std_error_s=se,
+                                 completion_fraction=done / reps))
+    return out

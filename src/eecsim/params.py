@@ -23,15 +23,21 @@ def db_to_linear(value_db: float) -> float:
 
 
 def require_finite(params) -> None:
-    """Reject a NaN or infinite float in any field of a parameter dataclass.
+    """Reject any number in a parameter dataclass that is not a finite float.
 
-    JSON scenario files can spell both (``NaN``, ``Infinity``), and range
-    checks such as ``x <= 0`` let NaN through.
+    JSON scenario files can spell NaN and Infinity, range checks such as
+    ``x <= 0`` let NaN through, and an integer with hundreds of digits
+    passes every range check but overflows the first float conversion.
     """
     for f in fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{f.name} must be finite, got {value!r}")
+        if isinstance(value, (int, float)):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ParameterError(f"{f.name} must be finite, got {value!r}")
 
 
 def alzer_eta(shape: int) -> float:

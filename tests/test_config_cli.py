@@ -302,6 +302,27 @@ class TestOneCallPerCommand:
         assert main(["validate", "--reps", "50", "--out", str(tmp_path / "out.csv")]) in (0, 1)
         assert calls == ["worker", "worker", "requester"]
 
+    @pytest.mark.parametrize("argv", [
+        ["delay", "--n", "1:4:1", "--variant", "random", "--variant", "ordered",
+         "--variant", "ordered+failure", "--simulate"],
+        ["completion", "--n", "1:3:1", "--l", "1,2", "--simulate"],
+        ["validate"],
+    ], ids=lambda argv: argv[0])
+    def test_one_trajectory_call(self, monkeypatch, tmp_path, argv):
+        # every chain of a command shares one call, and so each
+        # replication's stream is keyed once
+        calls = []
+        original = cli.empirical_delay
+
+        def counting(cfg, models, **kwargs):
+            calls.append(len(models))
+            return original(cfg, models, **kwargs)
+
+        monkeypatch.setattr(cli, "empirical_delay", counting)
+        out = str(tmp_path / "out.csv")
+        assert main(argv + ["--reps", "50", "--out", out]) in (0, 1)
+        assert calls == [{"delay": 12, "completion": 6, "validate": 15}[argv[0]]]
+
     def test_bias_reports_the_first_unservable_alpha(self, tmp_path, capsys):
         # about 3e-6 mean LoS workers at alpha = 0, none idle from alpha = 0.1
         path = tmp_path / "sparse.json"
@@ -398,9 +419,11 @@ class TestCliErrors:
     @pytest.mark.parametrize("section,field", [
         (section, f.name) for section, cls in _SECTIONS.items()
         for f in dataclasses.fields(cls) if "float" in f.type])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10 ** 400, id="int401digits")])
     def test_non_finite_value_exits_2(self, tmp_path, capsys, section, field, value):
-        # json reads NaN and Infinity; the range checks alone let NaN through
+        # json reads NaN and Infinity; the range checks alone let NaN through,
+        # and an integer this long passes them but overflows a float
         path = tmp_path / "non_finite.json"
         path.write_text(json.dumps({section: {field: value}}))
         assert main(["bias", "--alpha-step", "0.5", "--n-max", "2",
@@ -417,6 +440,15 @@ class TestCliErrors:
                               env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [["coverage", "--xi=0:inf:1"],
+                                      ["coverage", "--xi=nan:1:1"],
+                                      ["delay", "--n", "1:inf:1"],
+                                      ["delay", "--n", "inf"]])
+    def test_non_finite_grid_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid" in err and err.count("\n") == 1
 
     def test_bad_selection_exits_2(self, tmp_path):
         assert main(["coverage", "--xi", "0", "--selection", "nearest"]) == 2

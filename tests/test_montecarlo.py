@@ -1,10 +1,16 @@
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eecsim.chain import build_baseline, build_failure_chain, mean_absorption_time
+from eecsim.chain import (
+    build_baseline,
+    build_failure_chain,
+    build_level_dependent,
+    mean_absorption_time,
+)
 from eecsim.coverage import (
     CoverageQuery,
     RandomSelection,
@@ -13,12 +19,12 @@ from eecsim.coverage import (
 )
 from eecsim.errors import ParameterError
 from eecsim.montecarlo import (
+    _PURPOSE_SPATIAL,
+    _PURPOSE_TRAJECTORY,
     SimConfig,
     _JumpTables,
     _rep_sinr,
     _run_trajectory,
-    _spatial_key,
-    _trajectory_rng,
     default_arena_radius,
     empirical_delay,
     empirical_success_curve,
@@ -36,9 +42,32 @@ def estimate(cfg, query, **kwargs):
     return empirical_success_curve(cfg, query, [query.radio.sinr_threshold_db], **kwargs)[0]
 
 
+def stream_words(seed, replication, purpose):
+    """One replication's stream key for one purpose, as two 64-bit words."""
+    return np.random.SeedSequence((seed, replication, purpose)).generate_state(2, np.uint64)
+
+
 def spatial_rng(seed, replication):
     """A fresh generator on one replication's spatial stream."""
-    return np.random.Generator(np.random.Philox(key=_spatial_key(seed, replication)))
+    return np.random.Generator(np.random.Philox(key=stream_words(seed, replication,
+                                                                 _PURPOSE_SPATIAL)))
+
+
+def trajectory_rng(seed, replication):
+    """A fresh generator on one replication's trajectory stream."""
+    high, low = stream_words(seed, replication, _PURPOSE_TRAJECTORY).tolist()
+    return random.Random(high << 64 | low)
+
+
+def one_by_one(seed, reps, model):
+    """Delay estimate of one model, trajectory by trajectory on fresh
+    generators: (mean, standard error, completion fraction)."""
+    tables = _JumpTables(model)
+    runs = [_run_trajectory(tables, trajectory_rng(seed, rep)) for rep in range(reps)]
+    delays = [d for d, _ in runs]
+    mean = math.fsum(delays) / reps
+    se = math.sqrt(math.fsum((d - mean) ** 2 for d in delays) / (reps - 1) / reps)
+    return mean, se, sum(done for _, done in runs) / reps
 
 
 def draw_sinr(seed, radio, deploy, anchor="worker", selection=RankedSelection(1),
@@ -282,50 +311,91 @@ class TestEmpiricalCoverage:
 class TestTrajectories:
     def test_deterministic(self):
         model = build_baseline(3, 1.0, 0.02)
-        a = _run_trajectory(_JumpTables(model), _trajectory_rng(99, 0))
-        b = _run_trajectory(_JumpTables(model), _trajectory_rng(99, 0))
+        a = _run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
+        b = _run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
         assert a == b
         assert a[0] > 0.0 and a[1] is True
 
     def test_instant_allocation_single_segment(self):
         model = build_baseline(1, 1e9, 0.02)
-        est = empirical_delay(SimConfig(seed=5, replications=10_000), model)
+        est = empirical_delay(SimConfig(seed=5, replications=10_000), [model])[0]
         assert abs(est.mean_delay_s - 50.0) <= 3 * est.std_error_s
 
     def test_matches_absorption_analysis(self):
         model = build_baseline(4, 0.75, 0.02)
-        est = empirical_delay(SimConfig(seed=6, replications=20_000), model)
+        est = empirical_delay(SimConfig(seed=6, replications=20_000), [model])[0]
         analytic = mean_absorption_time(model)
         assert abs(est.mean_delay_s - analytic) <= 3 * est.std_error_s
 
     def test_level_dependent_against_simulation(self):
-        from eecsim.chain import build_level_dependent
         model = build_level_dependent(3, [2.0, 1.0, 0.5], 0.1)
-        est = empirical_delay(SimConfig(seed=8, replications=20_000), model)
+        est = empirical_delay(SimConfig(seed=8, replications=20_000), [model])[0]
         analytic = mean_absorption_time(model)
         assert abs(est.mean_delay_s - analytic) <= 3 * est.std_error_s
 
     def test_completion_fraction_under_failures(self):
         model = build_failure_chain(2, [0.9, 0.9], 0.02, 1.0, spare_budget=0)
-        est = empirical_delay(SimConfig(seed=10, replications=20_000), model)
-        se = math.sqrt(0.64 * 0.36 / est.replications)
+        cfg = SimConfig(seed=10, replications=20_000)
+        est = empirical_delay(cfg, [model])[0]
+        se = math.sqrt(0.64 * 0.36 / cfg.replications)
         assert abs(est.completion_fraction - 0.64) <= 3 * se
 
     def test_budget_chain_delay_matches_analysis(self):
         model = build_failure_chain(2, [0.9, 0.7], 0.05, 1.0, spare_budget=1)
-        est = empirical_delay(SimConfig(seed=14, replications=20_000), model)
+        est = empirical_delay(SimConfig(seed=14, replications=20_000), [model])[0]
         analytic = mean_absorption_time(model)
         assert abs(est.mean_delay_s - analytic) <= 3 * est.std_error_s
         assert 0.0 < est.completion_fraction < 1.0
 
     def test_no_failures_always_complete(self):
         model = build_baseline(2, 1.0, 0.02)
-        est = empirical_delay(SimConfig(seed=12, replications=500), model)
+        est = empirical_delay(SimConfig(seed=12, replications=500), [model])[0]
         assert est.completion_fraction == 1.0
 
     def test_reproducible_and_chunk_invariant(self):
         model = build_baseline(2, 1.0, 0.02)
-        runs = [empirical_delay(SimConfig(seed=13, replications=400), model,
-                                chunk_size=chunk)
+        runs = [empirical_delay(SimConfig(seed=13, replications=400), [model],
+                                chunk_size=chunk)[0]
                 for chunk in (1, 37, 400)]
         assert runs[0] == runs[1] == runs[2]
+
+
+def mixed_batch():
+    """Every chain kind, budgets None, 0 and 2, several n, one model twice."""
+    rates = [0.9, 0.6, 0.4, 0.3]
+    baseline = build_baseline(3, 0.75, 0.02)
+    return [
+        baseline,
+        build_baseline(1, 2.0, 0.05),
+        build_level_dependent(2, rates[:2], 0.05),
+        build_level_dependent(4, rates, 0.02),
+        build_failure_chain(3, rates[:3], 0.05, 1.0),
+        build_failure_chain(2, rates[:2], 0.02, 1.0, spare_budget=0),
+        build_failure_chain(3, rates[:3], 0.05, 2.0, spare_budget=2),
+        baseline,
+    ]
+
+
+class TestBatch:
+    """One call over many models replays each replication's stream per model."""
+
+    def test_matches_trajectories_one_by_one(self):
+        # bit for bit, with a chunk width that does not divide the count
+        models = mixed_batch()
+        ests = empirical_delay(SimConfig(seed=41, replications=300), models, chunk_size=64)
+        assert len(ests) == len(models)
+        for model, est in zip(models, ests):
+            assert (est.mean_delay_s, est.std_error_s, est.completion_fraction) == (
+                one_by_one(41, 300, model))
+        assert ests[0] == ests[-1]
+        assert {est.completion_fraction < 1.0 for est in ests} == {False, True}
+
+    def test_permuting_the_batch_permutes_the_results(self):
+        models = mixed_batch()
+        cfg = SimConfig(seed=42, replications=200)
+        ests = empirical_delay(cfg, models)
+        order = [5, 2, 7, 0, 6, 3, 1, 4]
+        assert empirical_delay(cfg, [models[i] for i in order]) == [ests[i] for i in order]
+
+    def test_empty_batch(self):
+        assert empirical_delay(SimConfig(seed=43, replications=10), []) == []
