@@ -8,11 +8,12 @@ simulates trajectories of a batch of :class:`~eecsim.chain.ChainModel` by
 exponential races and estimates absorption delay and completion fractions.
 
 Reproducibility contract: every replication draws from its own stream,
-keyed by (master seed, replication index, purpose), and aggregation is
-exact (integer counts, correctly rounded float sums), so results are
-bit-identical no matter how replications are chunked across workers.  The
-models of one :func:`empirical_delay` call replay each replication's
-stream, so a model's estimate is the same alone or in any batch.
+keyed by numpy's seed-sequence hash of (master seed, replication, purpose),
+which :func:`_stream_keys` computes for a chunk at once.  Aggregation is
+exact (integer counts, correctly rounded float sums), so results do not
+depend on chunking.  The models of one :func:`empirical_delay` call step a
+chunk's replications as lockstep numpy lanes over each stream's one shared
+prefix, so a model's estimate is the same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class SimConfig:
         require_finite(self)
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MAX_SEED:
             raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if not isinstance(self.replications, int) or isinstance(self.replications, bool) or self.replications < 1:
-            raise ParameterError("replications must be an integer >= 1")
+        # a replication index past 32 bits is an entropy word _stream_keys lacks
+        if (not isinstance(self.replications, int) or isinstance(self.replications, bool)
+                or not 1 <= self.replications <= 2 ** 32):
+            raise ParameterError("replications must be an integer from 1 to 2**32")
         if self.arena_half_width_m is not None and self.arena_half_width_m <= 0:
             raise ParameterError("arena_half_width_m must be positive")
 
@@ -90,11 +93,38 @@ def default_arena_radius(radio: RadioParams, deploy: DeploymentParams) -> float:
     return min(max(floor, tail_radius), 100.0 * rl)
 
 
-def _stream_key(seed: int, replication: int, purpose: int) -> int:
-    """128-bit key of one replication's stream for one purpose."""
-    words = np.random.SeedSequence((seed, replication, purpose)).generate_state(2, np.uint64)
-    high, low = words.tolist()
-    return high << 64 | low
+def _hasher(const: int, mult: int):
+    """The hashmix of numpy's seed sequence (O'Neill, "Developing a seed_seq
+    Alternative", 2015) on uint32 arrays, with its running constant."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & 0xFFFFFFFF
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _stream_keys(seed: int, start: int, stop: int, purpose: int) -> np.ndarray:
+    """Row i: numpy's seed-sequence ``generate_state(2, np.uint64)`` for the
+    entropy (seed, start + i, purpose).  The entropy words (seed words from
+    the lowest, replication, purpose) fill the four-word pool, every pool
+    word is mixed into every other, and four words are drawn; a replication
+    index below 2**32 is one word, so the pool never takes a fifth."""
+    reps = np.arange(start, stop, dtype=np.uint32)
+    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words = [np.full_like(reps, w) for w in seed_words] + [reps, np.full_like(reps, purpose)]
+    words += [np.zeros_like(reps)] * (4 - len(words))
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
+                pool[dst] = mixed ^ mixed >> 16
+    draw = _hasher(0x8B51F9DD, 0x58F38DED)
+    out = [draw(word).astype(np.uint64) for word in pool]
+    return np.stack([out[1] << 32 | out[0], out[3] << 32 | out[2]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -197,9 +227,8 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     rng = np.random.Generator(bitgen)
     state = bitgen.state
     for start in range(0, reps, chunk_size):
-        for rep in range(start, min(start + chunk_size, reps)):
-            key = _stream_key(cfg.seed, rep, _PURPOSE_SPATIAL)
-            state["state"]["key"] = divmod(key, 1 << 64)
+        for key in _stream_keys(cfg.seed, start, min(start + chunk_size, reps), _PURPOSE_SPATIAL):
+            state["state"]["key"] = key
             bitgen.state = state
             attempts = 0
             while True:
@@ -230,12 +259,13 @@ class DelayEstimate:
 
 
 class _JumpTables:
-    """Flattened jump structure of a chain for fast trajectory sampling.
+    """Jump structure of a chain as padded arrays for trajectory sampling.
 
     States get integer ids (``ids`` maps state to id), the start state
-    (0, 0, 0) first; each transient state keeps its exit rate and the
-    cumulative jump probabilities over the rate vectors of its block
-    (:meth:`~eecsim.chain._Lanes.block`), moves in the vectors' order.
+    (0, 0, 0) first.  Row i holds state i's exit rate and, over its at most
+    three moves in the order of its block's rate vectors
+    (:meth:`~eecsim.chain._Lanes.block`), the cumulative jump probabilities
+    and targets, padded with 1 and -1.  Absorbing rows have rate 0.
     """
 
     def __init__(self, model: ChainModel):
@@ -244,12 +274,11 @@ class _JumpTables:
         states = [(f, c, u) for f in range(n + 1) for c in range(n - f + 1) for u in levels]
         self.ids = ids = {state: i for i, state in
                           enumerate(states + ([] if budget is None else [FAIL]))}
-        self.start = 0
-        self.total_rate = [0.0] * len(ids)
-        self.cum_probs: list[list[float]] = [[] for _ in ids]
-        self.targets: list[list[int]] = [[] for _ in ids]
-        self.success = {ids[n, 0, u] for u in levels}
-        self.absorbing = self.success | {ids[FAIL]} if budget is not None else self.success
+        self.rate = np.zeros(len(ids))
+        self.cum = np.ones((len(ids), 3))
+        self.targets = np.full((len(ids), 3), -1)
+        self.success = np.zeros(len(ids), dtype=bool)
+        self.success[[ids[n, 0, u] for u in levels]] = True
         lanes = _Lanes([model])
         for g in range(1, n + 1):
             f = n - g
@@ -266,33 +295,63 @@ class _JumpTables:
                     cum = list(accumulate(r / rate for r, _ in moves))
                     cum[-1] = 1.0
                     i = ids[f, c, u]
-                    self.total_rate[i], self.cum_probs[i] = rate, cum
-                    self.targets[i] = [j for _, j in moves]
+                    self.rate[i] = rate
+                    self.cum[i, :len(cum)] = cum
+                    self.targets[i, :len(moves)] = [j for _, j in moves]
+        # the builders reject zero rates, so every transient state has an exit
+        self.absorbing = self.rate == 0.0
 
 
-def _run_trajectory(tables: _JumpTables, rng: random.Random) -> tuple[float, bool]:
-    """One exponential-race trajectory, absorbed: (delay, completed)."""
-    state = tables.start
-    t = 0.0
-    while state not in tables.absorbing:
-        t += rng.expovariate(tables.total_rate[state])
-        u = rng.random()
-        cum = tables.cum_probs[state]
-        # linear scan; fan-out is at most three transitions
-        pick = 0
-        while cum[pick] < u:
-            pick += 1
-        state = tables.targets[state][pick]
-    return t, state in tables.success
+def _prefixes(rng: random.Random, keys: np.ndarray, steps: int) -> np.ndarray:
+    """The first ``4 * steps`` 32-bit outputs of each key's stream, in order
+    (``getrandbits`` packs them little-endian): a step takes two ``random()``
+    values of two outputs each.  The key words are one int, high word first."""
+    words = np.empty((len(keys), 4 * steps), dtype=np.uint32)
+    for row, key in zip(words, keys):
+        rng.seed(int(key[0]) << 64 | int(key[1]))
+        row[:] = np.frombuffer(rng.getrandbits(128 * steps).to_bytes(16 * steps, "little"),
+                               dtype="<u4")
+    return words
+
+
+def _trajectories(table: _JumpTables, words: np.ndarray, rng: random.Random,
+                  keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Delays of a chunk's replications, in order of absorption, and the count
+    of successes.  The replications step together as lanes: the sojourn is
+    drawn as ``expovariate`` does from the step's first uniform, the move is
+    the first whose cumulative probability reaches the second, and lanes
+    that outrun the prefix ``words`` redraw one twice as long."""
+    lanes = rows = np.arange(len(keys))
+    state, t = np.zeros_like(lanes), np.zeros(lanes.size)
+    delays, successes, step = [], 0, 0
+    while lanes.size:
+        if 4 * step == words.shape[1]:
+            words = _prefixes(rng, keys[lanes], 2 * step)
+            rows = np.arange(lanes.size)
+        w = words[rows, 4 * step:4 * step + 4]
+        # random() as CPython builds it: 27 and 26 bits of two outputs
+        u = ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) / 9007199254740992.0
+        # math.log as expovariate takes it: np.log can differ in the last bit
+        logs = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), float, lanes.size)
+        t += -logs / table.rate[state]
+        state = table.targets[state, np.argmax(table.cum[state] >= u[:, 1:], axis=1)]
+        done = table.absorbing[state]
+        delays.append(t[done])
+        successes += int(np.count_nonzero(table.success[state[done]]))
+        live = ~done
+        lanes, rows, state, t = lanes[live], rows[live], state[live], t[live]
+        step += 1
+    return np.concatenate(delays), successes
 
 
 def empirical_delay(cfg: SimConfig, models: list[ChainModel],
                     chunk_size: int = 4096) -> list[DelayEstimate]:
     """Trajectory-averaged absorption delay and completion fraction, per model.
 
-    Each replication's key is derived once and replayed for every model.
-    Each mean is a correctly rounded sum of per-replication delays, so
-    execution chunking cannot perturb the result.
+    Each chunk of ``chunk_size`` replications seeds its streams once, and
+    every model replays them.  Each mean is a correctly rounded sum of
+    per-replication delays, so neither chunking nor the order in which
+    trajectories end can perturb the result.
     """
     if chunk_size < 1:
         raise ParameterError("chunk_size must be >= 1")
@@ -301,15 +360,15 @@ def empirical_delay(cfg: SimConfig, models: list[ChainModel],
     delays = [array("d") for _ in tables]
     completed = [0] * len(tables)
     rng = random.Random()
+    # the shortest trajectory of the largest chain: n allocations, n completions
+    steps = 2 * max((model.n for model in models), default=0)
     for start in range(0, reps, chunk_size):
-        keys = [_stream_key(cfg.seed, rep, _PURPOSE_TRAJECTORY)
-                for rep in range(start, min(start + chunk_size, reps))]
+        keys = _stream_keys(cfg.seed, start, min(start + chunk_size, reps), _PURPOSE_TRAJECTORY)
+        prefix = _prefixes(rng, keys, steps)
         for m, table in enumerate(tables):
-            for key in keys:
-                rng.seed(key)
-                delay, done = _run_trajectory(table, rng)
-                delays[m].append(delay)
-                completed[m] += done
+            chunk_delays, done = _trajectories(table, prefix, rng, keys)
+            delays[m].frombytes(chunk_delays.tobytes())
+            completed[m] += done
     out = []
     for d, done in zip(delays, completed):
         mean = math.fsum(d) / reps

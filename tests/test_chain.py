@@ -77,9 +77,15 @@ def jump_row(model, state):
     tables = _JumpTables(model)
     states = {i: s for s, i in tables.ids.items()}
     i = tables.ids[state]
-    probs = np.diff([0.0] + tables.cum_probs[i])
-    return ({states[j]: float(p) for j, p in zip(tables.targets[i], probs)},
-            tables.total_rate[i])
+    targets = tables.targets[i][tables.targets[i] >= 0].tolist()
+    probs = np.diff([0.0] + tables.cum[i, :len(targets)].tolist())
+    return ({states[j]: float(p) for j, p in zip(targets, probs)},
+            float(tables.rate[i]))
+
+
+def absorbing_states(tables):
+    """The labels of the states the jump tables mark absorbing."""
+    return {s for s, i in tables.ids.items() if tables.absorbing[i]}
 
 
 class TestStateSpace:
@@ -92,8 +98,8 @@ class TestStateSpace:
         assert failure == to_fail == [0.0, 0.0]
         # (1, 0) is in no block: absorbing, without exits
         tables = _JumpTables(model)
-        assert tables.ids[1, 0, 0] in tables.absorbing
-        assert tables.targets[tables.ids[1, 0, 0]] == []
+        assert absorbing_states(tables) == {(1, 0, 0)}
+        assert tables.targets[tables.ids[1, 0, 0]].tolist() == [-1, -1, -1]
 
     def test_exit_rate_interior_state(self):
         model = build_baseline(2, 0.9, 0.02)
@@ -167,7 +173,8 @@ class TestFailureChain:
         # 6 plain states x 2 budget levels + FAIL, all reachable from the start
         assert len(tables.ids) == 13
         assert FAIL in tables.ids
-        assert tables.ids[0, 0, 0] == tables.start
+        assert tables.ids[0, 0, 0] == 0
+        assert absorbing_states(tables) == {(2, 0, 0), (2, 0, 1), FAIL}
         gamma = 0.02 / 2.0
         # inside the budget a failure is counted; at the budget it is fatal
         assert block(model, 2, u=0) == [[0.0, gamma, 2 * gamma], [1.0, 1.0, 0.0],
@@ -187,12 +194,14 @@ class TestEmbedded:
     def test_rows_sum_to_one(self):
         model = build_failure_chain(3, [1.0, 0.8, 0.6], 0.03, 2.0, spare_budget=1)
         tables = _JumpTables(model)
-        for i, cum in enumerate(tables.cum_probs):
-            if i in tables.absorbing:
-                assert cum == []
+        for i, (cum, targets) in enumerate(zip(tables.cum.tolist(), tables.targets.tolist())):
+            moves = sum(j >= 0 for j in targets)
+            if tables.absorbing[i]:
+                assert moves == 0 and tables.rate[i] == 0.0
                 continue
-            assert cum[-1] == 1.0
-            assert all(b > a for a, b in zip([0.0] + cum, cum))
+            assert targets[moves:] == [-1] * (3 - moves)
+            assert cum[moves - 1:] == [1.0] * (4 - moves)
+            assert all(b > a for a, b in zip([0.0] + cum[:moves], cum[:moves]))
 
     def test_fully_allocated_state_must_complete(self):
         model = build_baseline(3, 1.0, 0.02)
@@ -245,8 +254,8 @@ class TestSojourn:
         model = build_baseline(2, 1.0, 0.02)
         tables = _JumpTables(model)
         i = tables.ids[2, 0, 0]
-        assert i in tables.absorbing and i in tables.success
-        assert tables.total_rate[i] == 0.0
+        assert tables.absorbing[i] and tables.success[i]
+        assert tables.rate[i] == 0.0
 
 
 class TestMeanAbsorption:

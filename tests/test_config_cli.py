@@ -450,6 +450,18 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid" in err and err.count("\n") == 1
 
+    def test_replications_past_the_key_hash_exit_2(self, monkeypatch, capsys):
+        # replication indices must stay single 32-bit entropy words of the
+        # stream keys; the bound is checked before anything is sampled
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(cli, "empirical_success_curve", refuse)
+        monkeypatch.setattr(cli, "empirical_delay", refuse)
+        assert main(["validate", "--reps", "4294967297"]) == 2
+        assert capsys.readouterr().err == (
+            "error: replications must be an integer from 1 to 2**32\n")
+
     def test_bad_selection_exits_2(self, tmp_path):
         assert main(["coverage", "--xi", "0", "--selection", "nearest"]) == 2
 

@@ -1,10 +1,12 @@
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from eecsim import cli
 from eecsim.chain import (
     build_baseline,
     build_failure_chain,
@@ -24,7 +26,7 @@ from eecsim.montecarlo import (
     SimConfig,
     _JumpTables,
     _rep_sinr,
-    _run_trajectory,
+    _stream_keys,
     default_arena_radius,
     empirical_delay,
     empirical_success_curve,
@@ -59,11 +61,27 @@ def trajectory_rng(seed, replication):
     return random.Random(high << 64 | low)
 
 
+def run_trajectory(tables, rng):
+    """One exponential-race trajectory on the jump tables, absorbed:
+    (delay, completed).  The scalar walk the batched estimator replaces."""
+    state = 0
+    t = 0.0
+    while not tables.absorbing[state]:
+        t += rng.expovariate(float(tables.rate[state]))
+        u = rng.random()
+        cum = tables.cum[state].tolist()
+        pick = 0
+        while cum[pick] < u:
+            pick += 1
+        state = int(tables.targets[state, pick])
+    return t, bool(tables.success[state])
+
+
 def one_by_one(seed, reps, model):
     """Delay estimate of one model, trajectory by trajectory on fresh
     generators: (mean, standard error, completion fraction)."""
     tables = _JumpTables(model)
-    runs = [_run_trajectory(tables, trajectory_rng(seed, rep)) for rep in range(reps)]
+    runs = [run_trajectory(tables, trajectory_rng(seed, rep)) for rep in range(reps)]
     delays = [d for d, _ in runs]
     mean = math.fsum(delays) / reps
     se = math.sqrt(math.fsum((d - mean) ** 2 for d in delays) / (reps - 1) / reps)
@@ -308,11 +326,41 @@ class TestEmpiricalCoverage:
             estimate(SimConfig(seed=3, replications=2), query)
 
 
+class TestStreamKeys:
+    """The vectorized key hash against numpy's SeedSequence."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2026, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
+    @pytest.mark.parametrize("purpose", [_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY])
+    @pytest.mark.parametrize("start,stop", [(0, 70), (4090, 4200), (2 ** 32 - 3, 2 ** 32)])
+    def test_matches_seed_sequence(self, seed, purpose, start, stop):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = _stream_keys(seed, start, stop, purpose)
+        want = np.stack([stream_words(seed, rep, purpose) for rep in range(start, stop)])
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, want)
+
+    @pytest.mark.parametrize("argv", [["validate"], ["delay", "--simulate"]],
+                             ids=lambda argv: argv[0])
+    def test_commands_run_without_seed_sequence(self, monkeypatch, tmp_path, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence called")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert cli.main(argv + ["--reps", "50", "--out", str(tmp_path / "out.csv")]) == 0
+
+    def test_replication_bound(self):
+        # a replication index of 2**32 would hash a fifth entropy word
+        assert SimConfig(seed=1, replications=2 ** 32).replications == 2 ** 32
+        with pytest.raises(ParameterError, match="2\\*\\*32"):
+            SimConfig(seed=1, replications=2 ** 32 + 1)
+
+
 class TestTrajectories:
     def test_deterministic(self):
         model = build_baseline(3, 1.0, 0.02)
-        a = _run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
-        b = _run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
+        a = run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
+        b = run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
         assert a == b
         assert a[0] > 0.0 and a[1] is True
 
@@ -353,11 +401,28 @@ class TestTrajectories:
         assert est.completion_fraction == 1.0
 
     def test_reproducible_and_chunk_invariant(self):
-        model = build_baseline(2, 1.0, 0.02)
-        runs = [empirical_delay(SimConfig(seed=13, replications=400), [model],
-                                chunk_size=chunk)[0]
+        models = mixed_batch()
+        runs = [empirical_delay(SimConfig(seed=13, replications=400), models,
+                                chunk_size=chunk)
                 for chunk in (1, 37, 400)]
         assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("model", [
+        # unlimited spares, each worker failing five times faster than it
+        # completes: about six tries per segment
+        build_failure_chain(2, [1.0, 1.0], 0.5, 0.05),
+        # failures outpace completions and ten are survived before FAIL
+        build_failure_chain(3, [0.9, 0.6, 0.4], 0.05, 0.1, spare_budget=10),
+    ], ids=["unlimited", "budget10"])
+    @pytest.mark.parametrize("chunk", [1, 7, 300])
+    def test_long_trajectories_regrow_the_prefix(self, model, chunk):
+        # the estimator holds a prefix of each stream as long as the
+        # shortest trajectory of the chain, 2n steps, and doubles it for the
+        # lanes that outrun it; these chains outrun it several times
+        est = empirical_delay(SimConfig(seed=44, replications=300), [model],
+                              chunk_size=chunk)[0]
+        assert (est.mean_delay_s, est.std_error_s, est.completion_fraction) == (
+            one_by_one(44, 300, model))
 
 
 def mixed_batch():
