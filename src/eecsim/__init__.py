@@ -22,9 +22,7 @@ from .collab import (
     BiasPoint,
     MecParams,
     bias_sweep,
-    combined_delay,
     congested_worker_intensity,
-    eec_delay_under_bias,
     mec_delay,
     optimal_bias,
 )

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .params import require_int, require_spare_budget
 
 __all__ = [
     "FAIL",
@@ -122,15 +123,12 @@ def build_failure_chain(n: int, lambda_list, mu_f: float, l: float,
     _validate_rates(lambda_list, n)
     if not (l > 0 and math.isfinite(l)):
         raise ParameterError("reliability parameter l must be positive and finite")
-    if spare_budget is not None:
-        if not isinstance(spare_budget, int) or isinstance(spare_budget, bool) or spare_budget < 0:
-            raise ParameterError("spare_budget must be None or an integer >= 0")
+    require_spare_budget(spare_budget)
     return _model(n, lambda_list, mu_f, mu_f / (l * n), spare_budget)
 
 
 def _check_n_mu(n, mu_f):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParameterError(f"segment count n must be an integer >= 1, got {n!r}")
+    require_int("segment count n", n, 1)
     if not (mu_f > 0 and math.isfinite(mu_f)):
         raise ParameterError("mu_f must be positive and finite")
 

@@ -42,6 +42,7 @@ from .coverage import (
 )
 from .errors import ConfigError, ParameterError, QuadratureError, UnservableError
 from .montecarlo import SimConfig, empirical_delay, empirical_success_curve
+from .params import MAX_GRID_POINTS
 
 BIAS_SCENARIOS = ("base", "low_mu_f", "low_nu_w", "low_nu_r", "high_nu_r")
 
@@ -60,6 +61,9 @@ def _parse_grid(text: str) -> list[float]:
             raise ConfigError(f"grid {text!r} needs a finite start, stop and step")
         if step <= 0:
             raise ConfigError("grid step must be positive")
+        # a finite start, stop and step can still overflow the point count
+        if not (stop - start) / step < MAX_GRID_POINTS:
+            raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")
         count = int(round((stop - start) / step))
         values = [start + i * step for i in range(count + 1)]
         return [v for v in values if v <= stop + 1e-9]
@@ -191,10 +195,9 @@ def cmd_coverage(config: ScenarioConfig, args) -> int:
     for s, selection in enumerate(selections):
         sim = None
         if args.simulate and xi_grid:
-            cfg = SimConfig(seed=args.seed, replications=args.reps,
-                            arena_half_width_m=config.sim.arena_half_width_m)
             sim = empirical_success_curve(
-                cfg, CoverageQuery(radio, config.deploy, selection), xi_grid)
+                SimConfig(seed=args.seed, replications=args.reps),
+                CoverageQuery(radio, config.deploy, selection), xi_grid)
         for i, xi in enumerate(xi_grid):
             row = [_selection_name(selection), radio.los_radius_m, xi, analytic[s, i]]
             if args.simulate:
@@ -397,8 +400,7 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
         return ok
 
     all_ok = True
-    sim_cfg = SimConfig(seed=seed, replications=reps,
-                        arena_half_width_m=config.sim.arena_half_width_m)
+    sim_cfg = SimConfig(seed=seed, replications=reps)
     # small-sample mean checks need the 3-sigma-equivalent t quantile, since
     # the standard error is itself estimated from the replications
     t_factor = _t_upper_quantile(reps - 1, 0.00135) if reps > 1 else math.inf
@@ -489,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON scenario overrides")
-        p.add_argument("--preset", default="table1", help="base preset name")
         p.add_argument("--seed", type=int, default=None,
                        help="simulation seed (default: scenario sim.seed)")
         p.add_argument("--reps", type=int, default=None,
@@ -552,7 +553,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, args.preset)
+        config = load_config(args.config)
         if args.seed is None:
             args.seed = config.sim.seed
         if getattr(args, "reps", None) is None:

@@ -15,26 +15,22 @@ edge load).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 
 from .chain import build_level_dependent, solve_chains, worker_idle_probability
 from .coverage import ServingDensity, success_table
 from .errors import ParameterError, UnservableError
-from .params import DeploymentParams, RadioParams, TaskParams, require_finite
+from .params import MAX_GRID_POINTS, DeploymentParams, RadioParams, TaskParams, require_finite
 
 __all__ = [
     "MecParams",
     "BiasPoint",
-    "EecOperatingPoint",
     "congested_worker_intensity",
-    "eec_delay_under_bias",
     "mec_delay",
-    "combined_delay",
     "bias_sweep",
     "optimal_bias",
     "alpha_grid",
-    "usable_segment_count",
     "best_segmentation",
 ]
 
@@ -55,7 +51,6 @@ class MecParams:
 
     power_ratio: float
     mec_task_rate_mu_f: float
-    concurrent_requester_intensity: float = 0.0
     offload_success_prob: float = 1.0
 
     def __post_init__(self):
@@ -64,8 +59,6 @@ class MecParams:
             raise ParameterError("power_ratio must be positive")
         if self.mec_task_rate_mu_f <= 0:
             raise ParameterError("mec_task_rate_mu_f must be positive")
-        if self.concurrent_requester_intensity < 0:
-            raise ParameterError("concurrent_requester_intensity must be nonnegative")
         if not 0.0 < self.offload_success_prob <= 1.0:
             raise ParameterError("offload_success_prob must lie in (0, 1]")
 
@@ -79,46 +72,30 @@ class BiasPoint:
     eec_optimal_n: int
 
 
-@dataclass(frozen=True)
-class EecOperatingPoint:
-    """Edge-tier delay at one bias value, with the context that produced it."""
-
-    delay_s: float
-    optimal_n: int
-    idle_worker_intensity: float
-    mean_los_workers: float
-    per_n_delay_s: tuple[float, ...]
-
-
-def usable_segment_count(rates, diagnostic: dict | None = None) -> int:
-    """Number of leading positive level rates: the largest n searchable.
-
-    Deep ranks can underflow to zero success mass, so the segment-count
-    search stops at the first zero rate.  When even the nearest worker's
-    rate is zero the edge tier cannot serve at all: UnservableError.
-    """
-    usable = next((i for i, rate in enumerate(rates) if rate <= 0.0), len(rates))
-    if usable == 0:
-        raise UnservableError(
-            "success probability of even the nearest worker is zero",
-            diagnostic=diagnostic)
-    return usable
-
-
 def best_segmentation(rate_vectors, mu_f_values, diagnostics: list | None = None
                       ) -> list[list[tuple[int, tuple[float, ...]]]]:
     """Optimal segment count and the mean delay for every searchable count.
 
     Returns ``best[v][m] = (optimal n, delays for n = 1..usable)`` for rate
-    vector v and ``mu_f_values[m]``.  Every vector's :func:`usable_segment_count`
-    is checked, in order, before one :func:`~eecsim.chain.solve_chains` call
-    solves every chain.  The optimum is the first minimizing n.
+    vector v and ``mu_f_values[m]``.  Deep ranks can underflow to zero
+    success mass, so a vector's search stops before its first zero rate;
+    every vector is checked, in order, before one
+    :func:`~eecsim.chain.solve_chains` call solves every chain.  A vector
+    whose nearest-worker rate is already zero cannot serve at all: an
+    UnservableError carrying its entry of ``diagnostics``.  The optimum is
+    the first minimizing n.
     """
     rate_vectors = list(rate_vectors)
     mu_f_values = list(mu_f_values)
     diagnostics = diagnostics or [None] * len(rate_vectors)
-    usable = [usable_segment_count(rates, diagnostic)
-              for rates, diagnostic in zip(rate_vectors, diagnostics)]
+    usable = []
+    for rates, diagnostic in zip(rate_vectors, diagnostics):
+        top = next((i for i, rate in enumerate(rates) if rate <= 0.0), len(rates))
+        if top == 0:
+            raise UnservableError(
+                "success probability of even the nearest worker is zero",
+                diagnostic=diagnostic)
+        usable.append(top)
     models = [build_level_dependent(n, rates[:n].tolist(), mu_f)
               for rates, top in zip(rate_vectors, usable) for mu_f in mu_f_values
               for n in range(1, top + 1)]
@@ -137,6 +114,9 @@ def alpha_grid(step: float) -> list[float]:
     """Bias values 0, step, 2 step, ... up to and always including 1."""
     if not 0.0 < step <= 1.0:
         raise ParameterError(f"alpha grid step must lie in (0, 1], got {step!r}")
+    if not 1.0 / step < MAX_GRID_POINTS:
+        raise ParameterError(
+            f"alpha grid step {step!r} gives more than {MAX_GRID_POINTS} points")
     steps = int(round(1.0 / step))
     alphas = [round(min(i * step, 1.0), 12) for i in range(steps + 1)]
     if alphas[-1] != 1.0:
@@ -147,7 +127,8 @@ def alpha_grid(step: float) -> list[float]:
 def congested_worker_intensity(alpha: float, deploy: DeploymentParams,
                                mu_f: float) -> float:
     """Idle-worker intensity once a fraction alpha of requesters use the edge."""
-    _check_alpha(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ParameterError(f"alpha must lie in [0, 1], got {alpha!r}")
     nu_w = deploy.worker_intensity_per_m2
     if nu_w == 0.0:
         return 0.0
@@ -155,28 +136,42 @@ def congested_worker_intensity(alpha: float, deploy: DeploymentParams,
     return idle * nu_w
 
 
-def _edge_points(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskParams,
-                 n_max: int) -> list[EecOperatingPoint]:
-    """Best edge-tier delay under the congestion seen at each bias alpha.
+def mec_delay(mec: MecParams, task: TaskParams, radio: RadioParams,
+              requester_intensity_per_m2: float) -> float:
+    """Average MEC response delay: uplink plus processor-shared computation.
 
-    The idle-worker intensity replaces the raw worker intensity in the
-    ordered-selection success probabilities, interference comes from the
-    alpha-fraction of requesters only, and the delay is minimized over the
-    segmentation count n = 1..n_max using the level-dependent chain.  Every
-    alpha shares one engine call and one chain solve; the first alpha that
-    cannot be served raises its UnservableError.
+    The expected concurrent load is the mean number of server-bound
+    requesters, at intensity ``requester_intensity_per_m2``, in the LoS
+    disk; computation time scales with (1 + load).
+    """
+    load = requester_intensity_per_m2 * math.pi * radio.los_radius_m ** 2
+    uplink = task.d2d_slot_s / mec.offload_success_prob
+    return uplink + (1.0 + load) / (mec.power_ratio * mec.mec_task_rate_mu_f)
+
+
+def bias_sweep(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskParams,
+               mec: MecParams, n_max: int = 50) -> list[BiasPoint]:
+    """Evaluate the blended objective on a grid of bias values.
+
+    At each alpha the edge tier serves the alpha-fraction of requesters: the
+    idle-worker intensity replaces the raw worker intensity in the
+    ordered-selection success probabilities, interference comes from that
+    fraction only, and the delay is minimized over the segmentation count
+    n = 1..n_max using the level-dependent chain.  The MEC load is the
+    remaining (1 - alpha) fraction.  Every alpha shares one coverage-engine
+    call and one chain solve; the first alpha that cannot be served raises
+    its UnservableError.
     """
     if n_max < 1:
         raise ParameterError("n_max must be >= 1")
+    alphas = list(alphas)
     mu_f = task.task_exec_rate_per_s
-    effective, context, unservable = [], [], None
+    nu_r = deploy.requester_intensity_per_m2
+    densities, diagnostics, unservable = [], [], None
     for alpha in alphas:
-        _check_alpha(alpha)
         idle_intensity = congested_worker_intensity(alpha, deploy, mu_f)
-        deploy_here = DeploymentParams(
-            worker_intensity_per_m2=idle_intensity,
-            requester_intensity_per_m2=alpha * deploy.requester_intensity_per_m2,
-        )
+        deploy_here = DeploymentParams(worker_intensity_per_m2=idle_intensity,
+                                       requester_intensity_per_m2=alpha * nu_r)
         mass = deploy_here.mean_los_workers(radio.los_radius_m)
         if mass < MIN_WORKER_MASS:
             unservable = UnservableError(
@@ -184,64 +179,23 @@ def _edge_points(alphas, radio: RadioParams, deploy: DeploymentParams, task: Tas
                 diagnostic={"alpha": alpha, "idle_worker_intensity": idle_intensity,
                             "mean_los_workers": mass})
             break
-        effective.append(ServingDensity(deploy_here, range(1, n_max + 1)))
-        context.append((alpha, idle_intensity, mass))
-    table = success_table(radio, effective, [radio.sinr_threshold_db])
+        densities.append(ServingDensity(deploy_here, range(1, n_max + 1)))
+        diagnostics.append({"alpha": alpha, "mean_los_workers": mass})
+    table = success_table(radio, densities, [radio.sinr_threshold_db])
     best = best_segmentation([row[0] / task.d2d_slot_s for row in table], [mu_f],
-                             [{"alpha": alpha, "mean_los_workers": mass}
-                              for alpha, _, mass in context])
+                             diagnostics)
     if unservable is not None:
         raise unservable
-    return [EecOperatingPoint(delay_s=delays[best_n - 1], optimal_n=best_n,
-                              idle_worker_intensity=idle_intensity, mean_los_workers=mass,
-                              per_n_delay_s=delays)
-            for (_, idle_intensity, mass), [(best_n, delays)] in zip(context, best)]
-
-
-def eec_delay_under_bias(alpha: float, radio: RadioParams, deploy: DeploymentParams,
-                         task: TaskParams, n_max: int = 50) -> EecOperatingPoint:
-    """Best edge-tier delay at one bias value (see :func:`bias_sweep`)."""
-    return _edge_points([alpha], radio, deploy, task, n_max)[0]
-
-
-def mec_delay(mec: MecParams, task: TaskParams, radio: RadioParams) -> float:
-    """Average MEC response delay: uplink plus processor-shared computation.
-
-    The expected concurrent load is the mean number of competing requesters
-    in the LoS disk, and computation time scales with (1 + load).
-    """
-    load = mec.concurrent_requester_intensity * math.pi * radio.los_radius_m ** 2
-    uplink = task.d2d_slot_s / mec.offload_success_prob
-    return uplink + (1.0 + load) / (mec.power_ratio * mec.mec_task_rate_mu_f)
-
-
-def combined_delay(alpha: float, eec_delay_s: float, mec_delay_s: float) -> float:
-    """Blend the two tiers' delays with the bias weight."""
-    _check_alpha(alpha)
-    return alpha * eec_delay_s + (1.0 - alpha) * mec_delay_s
-
-
-def bias_sweep(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskParams,
-               mec: MecParams, n_max: int = 50) -> list[BiasPoint]:
-    """Evaluate the blended objective on a grid of bias values.
-
-    At each alpha the MEC load is the (1 - alpha) fraction of the deployment
-    requester intensity; the edge side re-optimizes its segmentation count
-    under the congestion of that alpha.  Every alpha's edge delays come from
-    one coverage-engine call and one chain solve.
-    """
-    alphas = list(alphas)
     points = []
-    for alpha, edge in zip(alphas, _edge_points(alphas, radio, deploy, task, n_max)):
-        mec_here = replace(mec, concurrent_requester_intensity=(
-            (1.0 - alpha) * deploy.requester_intensity_per_m2))
-        tau_mec = mec_delay(mec_here, task, radio)
+    for alpha, [(best_n, delays)] in zip(alphas, best):
+        tau_eec = delays[best_n - 1]
+        tau_mec = mec_delay(mec, task, radio, (1.0 - alpha) * nu_r)
         points.append(BiasPoint(
             alpha=float(alpha),
-            tau_eec_s=edge.delay_s,
+            tau_eec_s=tau_eec,
             tau_mec_s=tau_mec,
-            tau_alpha_s=combined_delay(alpha, edge.delay_s, tau_mec),
-            eec_optimal_n=edge.optimal_n,
+            tau_alpha_s=alpha * tau_eec + (1.0 - alpha) * tau_mec,
+            eec_optimal_n=best_n,
         ))
     return points
 
@@ -252,8 +206,3 @@ def optimal_bias(grid_step: float, radio: RadioParams, deploy: DeploymentParams,
     # min() keeps the first of equal values, the smallest alpha on the grid
     return min(bias_sweep(alpha_grid(grid_step), radio, deploy, task, mec, n_max=n_max),
                key=lambda p: p.tau_alpha_s)
-
-
-def _check_alpha(alpha: float):
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must lie in [0, 1], got {alpha!r}")

@@ -1,4 +1,4 @@
-"""Scenario configuration: presets, JSON loading and provenance hashing.
+"""Scenario configuration: the preset, JSON loading and provenance hashing.
 
 A scenario bundles the parameter groups every command needs.  The "table1"
 preset covers the default mmWave deployment, so all commands run without a
@@ -15,19 +15,11 @@ import math
 from dataclasses import asdict, dataclass, replace
 
 from .collab import MecParams
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .montecarlo import SimConfig
-from .params import (
-    DeploymentParams,
-    RadioParams,
-    ReliabilityParams,
-    TaskParams,
-    from_mapping,
-)
+from .params import DeploymentParams, RadioParams, ReliabilityParams, TaskParams
 
 __all__ = ["ScenarioConfig", "preset", "load_config", "resolve_config", "config_hash"]
-
-PRESET_NAMES = ("table1",)
 
 
 @dataclass(frozen=True)
@@ -43,10 +35,8 @@ class ScenarioConfig:
         return asdict(self)
 
 
-def preset(name: str = "table1") -> ScenarioConfig:
-    """Built-in scenario presets."""
-    if name != "table1":
-        raise ConfigError(f"unknown preset {name!r}; available: {PRESET_NAMES}")
+def preset() -> ScenarioConfig:
+    """The table1 scenario: the default mmWave deployment."""
     return ScenarioConfig(
         radio=RadioParams(
             sinr_threshold_db=5.0,
@@ -69,9 +59,8 @@ def preset(name: str = "table1") -> ScenarioConfig:
         task=TaskParams(task_exec_rate_per_s=0.02, d2d_slot_s=1.0),
         reliability=ReliabilityParams(reliability_l=3.0, spare_budget=None),
         # one extra uplink attempt on average for the round trip to the server
-        mec=MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.02,
-                      concurrent_requester_intensity=0.0, offload_success_prob=0.5),
-        sim=SimConfig(seed=2026, replications=100_000, arena_half_width_m=None),
+        mec=MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.02, offload_success_prob=0.5),
+        sim=SimConfig(seed=2026, replications=100_000),
     )
 
 
@@ -85,13 +74,10 @@ _SECTIONS = {
 }
 
 
-def resolve_config(document: dict | None = None, base_preset: str = "table1") -> ScenarioConfig:
-    """Expand a preset and apply a JSON-style override document on top."""
-    document = dict(document or {})
-    name = document.pop("preset", base_preset)
-    if not isinstance(name, str):
-        raise ConfigError(f"preset must be a string, got {name!r}")
-    base = preset(name)
+def resolve_config(document: dict | None = None) -> ScenarioConfig:
+    """Apply a JSON-style override document on top of the preset."""
+    document = document or {}
+    base = preset()
     unknown = set(document) - set(_SECTIONS)
     if unknown:
         raise ConfigError(
@@ -111,14 +97,17 @@ def resolve_config(document: dict | None = None, base_preset: str = "table1") ->
                 f"section {section!r}: unknown key(s) {sorted(bad)}; "
                 f"known keys are {sorted(merged)}")
         merged.update(overrides)
-        updates[section] = from_mapping(cls, merged, context=section)
+        try:
+            updates[section] = cls(**merged)
+        except (ParameterError, TypeError) as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
     return replace(base, **updates)
 
 
-def load_config(path: str | None, base_preset: str = "table1") -> ScenarioConfig:
+def load_config(path: str | None) -> ScenarioConfig:
     """Load a scenario from a UTF-8 JSON file (or just expand the preset)."""
     if path is None:
-        return resolve_config(None, base_preset)
+        return resolve_config()
     try:
         with open(path, encoding="utf-8") as handle:
             document = json.load(handle)
@@ -128,7 +117,7 @@ def load_config(path: str | None, base_preset: str = "table1") -> ScenarioConfig
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError(f"config {path} must contain a JSON object")
-    return resolve_config(document, base_preset)
+    return resolve_config(document)
 
 
 def config_hash(config: ScenarioConfig) -> str:

@@ -43,7 +43,8 @@ from math import comb, lgamma
 import numpy as np
 
 from .errors import ParameterError, QuadratureError
-from .params import DeploymentParams, RadioParams, db_to_linear, directivity_distribution
+from .params import (DeploymentParams, RadioParams, db_to_linear, directivity_distribution,
+                     require_int)
 
 __all__ = [
     "RandomSelection",
@@ -69,8 +70,7 @@ class RankedSelection:
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 1:
-            raise ParameterError(f"rank must be an integer >= 1, got {self.rank!r}")
+        require_int("rank", self.rank, 1)
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,7 @@ def ordered_distance_pdf(k: int, r, deploy: DeploymentParams,
     Accepts scalar or array r; computed in log space to stay finite for
     large V and k.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ParameterError(f"k must be an integer >= 1, got {k!r}")
+    require_int("k", k, 1)
     if los_radius_m <= 0:
         raise ParameterError("los_radius_m must be positive")
     r_arr = np.asarray(r, dtype=float)
@@ -288,8 +287,7 @@ class ServingDensity:
         if not ranks:
             raise ParameterError("ranks must not be empty")
         for k in ranks:
-            if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-                raise ParameterError(f"ranks must be integers >= 1, got {k!r}")
+            require_int("rank", k, 1)
         object.__setattr__(self, "ranks", ranks)
 
     def _weights(self, r0: np.ndarray, rl: float) -> np.ndarray:

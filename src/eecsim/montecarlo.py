@@ -29,7 +29,7 @@ import numpy as np
 from .chain import FAIL, ChainModel, _Lanes
 from .coverage import CoverageQuery, RandomSelection, RankedSelection
 from .errors import ParameterError
-from .params import DeploymentParams, RadioParams, directivity_distribution, require_finite
+from .params import DeploymentParams, RadioParams, directivity_distribution, require_int
 
 __all__ = [
     "SimConfig",
@@ -49,26 +49,15 @@ _RESAMPLE_LIMIT = 10_000
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Replication count, master seed and interference window.
-
-    ``arena_half_width_m`` is the radius of the disk interfering requesters
-    are sampled in; ``None`` selects :func:`default_arena_radius`.
-    """
+    """Replication count and master seed."""
 
     seed: int
     replications: int = 100_000
-    arena_half_width_m: float | None = None
 
     def __post_init__(self):
-        require_finite(self)
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= _MAX_SEED:
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        require_int("seed", self.seed, 0, _MAX_SEED)
         # a replication index past 32 bits is an entropy word _stream_keys lacks
-        if (not isinstance(self.replications, int) or isinstance(self.replications, bool)
-                or not 1 <= self.replications <= 2 ** 32):
-            raise ParameterError("replications must be an integer from 1 to 2**32")
-        if self.arena_half_width_m is not None and self.arena_half_width_m <= 0:
-            raise ParameterError("arena_half_width_m must be positive")
+        require_int("replications", self.replications, 1, 2 ** 32)
 
 
 def default_arena_radius(radio: RadioParams, deploy: DeploymentParams) -> float:
@@ -210,8 +199,7 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     if los_classification not in ("worker", "requester"):
         raise ParameterError(f"unknown los_classification {los_classification!r}")
     worker_centric = los_classification == "worker"
-    arena = (cfg.arena_half_width_m if cfg.arena_half_width_m is not None
-             else default_arena_radius(radio, deploy))
+    arena = default_arena_radius(radio, deploy)
     pairs = directivity_distribution(radio)
     gains = np.array([g for g, _ in pairs])
     gain_cum = np.cumsum([p for _, p in pairs])

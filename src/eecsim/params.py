@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError, ParameterError
+from .errors import ParameterError
 
 TWO_PI = 2.0 * math.pi
+# the most points a command's grid (thresholds, segment counts, bias values) may hold
+MAX_GRID_POINTS = 10 ** 6
 
 
 def db_to_linear(value_db: float) -> float:
@@ -40,14 +42,25 @@ def require_finite(params) -> None:
                 raise ParameterError(f"{f.name} must be finite, got {value!r}")
 
 
+def require_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """Reject anything but an integer (bool excluded) from ``lo`` to ``hi``."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < lo
+            or hi is not None and value > hi):
+        span = f">= {lo}"
+        if hi is not None:
+            # a large power-of-two bound reads as one: 2**32, not 4294967296
+            top = f"2**{hi.bit_length() - 1}" if hi > 2 ** 16 and hi & (hi - 1) == 0 else hi
+            span = f"from {lo} to {top}"
+        raise ParameterError(f"{name} must be an integer {span}")
+
+
 def alzer_eta(shape: int) -> float:
     """Tail constant N * (N!)^(-1/N) for an integer-shape gamma variate.
 
     Used to turn the gamma CDF of a Nakagami power gain into an alternating
     sum of exponentials; strictly increasing in the shape.
     """
-    if not isinstance(shape, int) or isinstance(shape, bool) or shape < 1:
-        raise ParameterError(f"gamma shape must be an integer >= 1, got {shape!r}")
+    require_int("gamma shape", shape, 1)
     return shape * math.exp(-math.lgamma(shape + 1) / shape)
 
 
@@ -79,11 +92,9 @@ class RadioParams:
             raise ParameterError("los_radius_m must be positive")
         if self.pathloss_exp_los < 2 or self.pathloss_exp_nlos < 2:
             raise ParameterError("pathloss exponents must be >= 2")
-        for name in ("nakagami_los", "nakagami_nlos"):
-            value = getattr(self, name)
-            # integer shapes are required by the binomial tail expansion
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        # integer shapes are required by the binomial tail expansion
+        require_int("nakagami_los", self.nakagami_los, 1)
+        require_int("nakagami_nlos", self.nakagami_nlos, 1)
         if self.main_lobe_db < self.side_lobe_db:
             raise ParameterError("main_lobe_db must be >= side_lobe_db")
         if not 0.0 < self.beamwidth_rad < TWO_PI:
@@ -188,27 +199,10 @@ class ReliabilityParams:
         require_finite(self)
         if self.reliability_l <= 0:
             raise ParameterError("reliability_l must be positive")
-        if self.spare_budget is not None:
-            if not isinstance(self.spare_budget, int) or isinstance(self.spare_budget, bool) or self.spare_budget < 0:
-                raise ParameterError("spare_budget must be None or an integer >= 0")
+        require_spare_budget(self.spare_budget)
 
 
-def from_mapping(cls, data: dict, context: str = ""):
-    """Build a parameter dataclass from a JSON-style mapping.
-
-    Unknown keys are rejected so that typos in configuration files fail
-    loudly instead of silently falling back to defaults.
-    """
-    if not isinstance(data, dict):
-        raise ConfigError(f"{context or cls.__name__}: expected an object, got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"{context or cls.__name__}: unknown key(s) {sorted(unknown)}; known keys are {sorted(known)}")
-    try:
-        return cls(**data)
-    except ParameterError as exc:
-        raise ConfigError(f"{context or cls.__name__}: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"{context or cls.__name__}: {exc}") from exc
+def require_spare_budget(spare_budget: int | None) -> None:
+    """A spare budget is None (unbounded replacements) or an integer >= 0."""
+    if spare_budget is not None:
+        require_int("spare_budget", spare_budget, 0)

@@ -6,7 +6,7 @@ from eecsim.config import preset
 @pytest.fixture(scope="session")
 def scenario():
     """Default deployment used across the suite."""
-    return preset("table1")
+    return preset()
 
 
 @pytest.fixture(scope="session")

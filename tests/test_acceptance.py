@@ -35,7 +35,7 @@ from eecsim.coverage import (
 )
 from eecsim.montecarlo import SimConfig, empirical_delay, empirical_success_curve
 
-SCENARIO = preset("table1")
+SCENARIO = preset()
 
 # Fig-of-merit anchors for the default deployment (tolerance 5e-3).
 RANDOM_ANCHORS = {
@@ -280,9 +280,8 @@ def test_criterion_08e_low_demand_bias():
 
 
 def test_criterion_09_mec_zero_load_anchor():
-    mec = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.007,
-                    concurrent_requester_intensity=0.0, offload_success_prob=1.0)
-    got = mec_delay(mec, SCENARIO.task, SCENARIO.radio)
+    mec = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.007, offload_success_prob=1.0)
+    got = mec_delay(mec, SCENARIO.task, SCENARIO.radio, 0.0)
     assert got == pytest.approx(29.57, abs=0.1)
     print(f"\nACCEPTANCE 9: PASS (zero-load MEC delay {got:.4f})")
 

@@ -9,12 +9,11 @@ from eecsim.collab import (
     alpha_grid,
     best_segmentation,
     bias_sweep,
-    combined_delay,
     congested_worker_intensity,
-    eec_delay_under_bias,
     mec_delay,
     optimal_bias,
 )
+from eecsim.coverage import ServingDensity, success_table
 from eecsim.errors import ParameterError, UnservableError
 from eecsim.params import DeploymentParams
 
@@ -45,57 +44,59 @@ class TestCongestedIntensity:
 
 class TestMecDelay:
     def test_zero_load_reference(self, task, radio):
-        mec = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.007,
-                        concurrent_requester_intensity=0.0, offload_success_prob=1.0)
-        assert mec_delay(mec, task, radio) == pytest.approx(29.57, abs=0.1)
+        mec = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.007, offload_success_prob=1.0)
+        assert mec_delay(mec, task, radio, 0.0) == pytest.approx(29.57, abs=0.1)
 
     def test_power_ratio_halves_computation(self, task, radio):
-        slow = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.007,
-                         concurrent_requester_intensity=1e-4)
+        slow = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.007)
         fast = replace(slow, power_ratio=10.0)
         uplink = task.d2d_slot_s / slow.offload_success_prob
-        assert (mec_delay(fast, task, radio) - uplink) == pytest.approx(
-            (mec_delay(slow, task, radio) - uplink) / 2.0, rel=1e-12)
+        assert (mec_delay(fast, task, radio, 1e-4) - uplink) == pytest.approx(
+            (mec_delay(slow, task, radio, 1e-4) - uplink) / 2.0, rel=1e-12)
 
     def test_linear_in_load(self, task, radio):
         base = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.02)
-        d0 = mec_delay(base, task, radio)
-        d1 = mec_delay(replace(base, concurrent_requester_intensity=1e-4), task, radio)
-        d2 = mec_delay(replace(base, concurrent_requester_intensity=2e-4), task, radio)
+        d0, d1, d2 = (mec_delay(base, task, radio, nu_r) for nu_r in (0.0, 1e-4, 2e-4))
         assert (d2 - d1) == pytest.approx(d1 - d0, rel=1e-12)
+
+
+def edge_delays(alphas, radio, deploy, task, n_max):
+    """Edge-tier (delay, optimal n) at each bias value, from one sweep."""
+    mec = MecParams(power_ratio=5.0, mec_task_rate_mu_f=0.02)
+    return [(p.tau_eec_s, p.eec_optimal_n)
+            for p in bias_sweep(alphas, radio, deploy, task, mec, n_max=n_max)]
 
 
 class TestEdgeDelayUnderBias:
     def test_small_bias_approaches_uncongested(self, radio, deploy, task):
-        at_zero = eec_delay_under_bias(0.0, radio, deploy, task, n_max=12)
-        nearly = eec_delay_under_bias(1e-6, radio, deploy, task, n_max=12)
-        assert nearly.delay_s == pytest.approx(at_zero.delay_s, rel=1e-4)
+        (at_zero, _), (nearly, _) = edge_delays([0.0, 1e-6], radio, deploy, task, 12)
+        assert nearly == pytest.approx(at_zero, rel=1e-4)
 
     def test_nondecreasing_in_bias(self, radio, deploy, task):
-        values = [eec_delay_under_bias(a, radio, deploy, task, n_max=12).delay_s
-                  for a in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        values = [d for d, _ in edge_delays([0.0, 0.25, 0.5, 0.75, 1.0],
+                                            radio, deploy, task, 12)]
         assert all(b >= a - 1e-9 for a, b in zip(values, values[1:]))
 
     def test_worker_scarcity_raises_delay_and_shrinks_n(self, radio, deploy, task):
-        full = eec_delay_under_bias(1.0, radio, deploy, task, n_max=20)
-        quartered = eec_delay_under_bias(
-            1.0, radio,
+        [full] = edge_delays([1.0], radio, deploy, task, 20)
+        [quartered] = edge_delays(
+            [1.0], radio,
             replace(deploy, worker_intensity_per_m2=deploy.worker_intensity_per_m2 / 4),
-            task, n_max=20)
-        assert quartered.delay_s > full.delay_s
-        assert quartered.optimal_n <= full.optimal_n
+            task, 20)
+        assert quartered[0] > full[0]
+        assert quartered[1] <= full[1]
 
     def test_unservable_deployment(self, radio, task):
         empty = DeploymentParams(1e-15, 1e-4)
         with pytest.raises(UnservableError):
-            eec_delay_under_bias(1.0, radio, empty, task, n_max=5)
+            edge_delays([1.0], radio, empty, task, 5)
 
     def test_sweep_matches_one_alpha_at_a_time(self, radio, deploy, task, mec):
         alphas = [0.0, 0.3, 1.0]
         points = bias_sweep(alphas, radio, deploy, task, mec, n_max=12)
         for alpha, point in zip(alphas, points):
-            alone = eec_delay_under_bias(alpha, radio, deploy, task, n_max=12)
-            assert (point.tau_eec_s, point.eec_optimal_n) == (alone.delay_s, alone.optimal_n)
+            [alone] = bias_sweep([alpha], radio, deploy, task, mec, n_max=12)
+            assert point == alone
 
     def test_first_unservable_alpha_is_reported(self, radio, deploy, task, mec):
         # mean LoS worker mass about 3e-6 at alpha = 0, idle workers vanish
@@ -120,9 +121,17 @@ class TestBestSegmentation:
                     build_level_dependent(n, vector[:n].tolist(), mu_f)) for n in counts)
                 assert best_n == delays.index(min(delays)) + 1
 
-    def test_matches_edge_operating_point(self, radio, deploy, task):
-        point = eec_delay_under_bias(0.5, radio, deploy, task, n_max=12)
-        assert point.per_n_delay_s[point.optimal_n - 1] == point.delay_s == min(point.per_n_delay_s)
+    def test_matches_edge_operating_point(self, radio, deploy, task, mec):
+        # the sweep's edge side is this search over the congested rank rates
+        alpha, mu_f = 0.5, task.task_exec_rate_per_s
+        congested = DeploymentParams(congested_worker_intensity(alpha, deploy, mu_f),
+                                     alpha * deploy.requester_intensity_per_m2)
+        [[ps]] = success_table(radio, [ServingDensity(congested, range(1, 13))],
+                               [radio.sinr_threshold_db])
+        [[(best_n, delays)]] = best_segmentation([ps / task.d2d_slot_s], [mu_f])
+        [point] = bias_sweep([alpha], radio, deploy, task, mec, n_max=12)
+        assert (point.eec_optimal_n, point.tau_eec_s) == (best_n, delays[best_n - 1])
+        assert point.tau_eec_s == min(delays)
 
     def test_no_servable_rate(self):
         with pytest.raises(UnservableError) as info:
@@ -133,9 +142,10 @@ class TestBestSegmentation:
 
 
 class TestCombinedObjective:
-    def test_endpoints(self):
-        assert combined_delay(0.0, 100.0, 40.0) == 40.0
-        assert combined_delay(1.0, 100.0, 40.0) == 100.0
+    def test_endpoints(self, radio, deploy, task, mec):
+        # the blend weights the edge delay by alpha and the MEC delay by the rest
+        for p in bias_sweep([0.0, 0.3, 1.0], radio, deploy, task, mec, n_max=8):
+            assert p.tau_alpha_s == p.alpha * p.tau_eec_s + (1.0 - p.alpha) * p.tau_mec_s
 
     def test_endpoints_match_pure_systems(self, radio, deploy, task, mec):
         points = bias_sweep([0.0, 1.0], radio, deploy, task, mec, n_max=10)

@@ -3,8 +3,10 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from scipy.special import stdtrit
@@ -28,7 +30,7 @@ def read_csv(path):
 
 class TestConfig:
     def test_preset_values(self):
-        cfg = preset("table1")
+        cfg = preset()
         assert cfg.radio.los_radius_m == 100.0
         assert cfg.radio.sinr_threshold_db == 5.0
         assert cfg.deploy.worker_intensity_per_m2 == 7e-4
@@ -37,8 +39,9 @@ class TestConfig:
         assert cfg.radio.beamwidth_rad == pytest.approx(math.radians(45.0))
 
     def test_unknown_preset(self):
-        with pytest.raises(ConfigError):
-            preset("table2")
+        # there is one preset, so a document cannot name one
+        with pytest.raises(ConfigError, match="unknown configuration section"):
+            resolve_config({"preset": "table1"})
 
     def test_override_section(self):
         cfg = resolve_config({"deploy": {"worker_intensity_per_m2": 1e-3}})
@@ -444,8 +447,13 @@ class TestCliErrors:
     @pytest.mark.parametrize("argv", [["coverage", "--xi=0:inf:1"],
                                       ["coverage", "--xi=nan:1:1"],
                                       ["delay", "--n", "1:inf:1"],
-                                      ["delay", "--n", "inf"]])
+                                      ["delay", "--n", "inf"],
+                                      ["coverage", "--xi=0:1e300:1e-300"],
+                                      ["coverage", "--xi=0:1e10:1"],
+                                      ["bias", "--alpha-step", "1e-12"],
+                                      ["delay", "--n", "1:1e7:1"]])
     def test_non_finite_grid_exits_2(self, capsys, argv):
+        # finite bounds can still ask for an overflowing or huge point count
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid" in err and err.count("\n") == 1
@@ -470,3 +478,52 @@ class TestCliErrors:
         captured = capsys.readouterr().out
         assert captured.startswith("# tool: eecsim")
         assert "success_probability" in captured
+
+
+# the sim section's replications stay small, so the Monte Carlo probe is quick
+PROBE_BASE = {"sim": {"replications": 200}}
+PROBES = [
+    ["coverage", "--xi=0,5,10", "--simulate"],
+    ["delay", "--n", "1:3:1", "--variant", "random", "--variant", "ordered+failure"],
+    ["bias", "--alpha-step", "0.5", "--n-max", "4"],
+]
+
+
+def probe_bodies(directory, document):
+    """CSV bodies, metadata lines dropped, of the probe commands under a scenario."""
+    path = directory / "scenario.json"
+    path.write_text(json.dumps(document))
+    bodies = []
+    for i, argv in enumerate(PROBES):
+        out = directory / f"probe{i}.csv"
+        assert main(argv + ["--config", str(path), "--out", str(out)]) == 0
+        bodies.append([line for line in out.read_text().splitlines()
+                       if not line.startswith("#")])
+    return bodies
+
+
+@pytest.fixture(scope="module")
+def probe_baseline(tmp_path_factory):
+    return probe_bodies(tmp_path_factory.mktemp("baseline"), PROBE_BASE)
+
+
+@pytest.mark.parametrize("section,field", [
+    (section, f.name) for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)])
+def test_every_scenario_key_reaches_an_output(tmp_path, probe_baseline, section, field):
+    # a key that no command reads is an input without a use
+    value = getattr(getattr(resolve_config(PROBE_BASE), section), field)
+    if value is None:
+        changed = 1
+    elif isinstance(value, int):
+        changed = value + 1
+    else:
+        changed = value * 1.1
+    document = {**PROBE_BASE, section: {**PROBE_BASE.get(section, {}), field: changed}}
+    assert probe_bodies(tmp_path, document) != probe_baseline
+
+
+def test_readme_library_snippet_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [snippet] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(snippet, "README.md", "exec"), {})
+    assert capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from eecsim.chain import build_failure_chain, build_level_dependent
+from eecsim.config import resolve_config
 from eecsim.errors import ConfigError, ParameterError
 from eecsim.params import (
     DeploymentParams,
@@ -12,7 +13,7 @@ from eecsim.params import (
     alzer_eta,
     db_to_linear,
     directivity_distribution,
-    from_mapping,
+    require_int,
 )
 
 
@@ -146,22 +147,43 @@ class TestValidation:
             ReliabilityParams(**kwargs)
 
 
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [0, 5, True, 2.0, "2", None])
+    def test_rejects(self, value):
+        with pytest.raises(ParameterError, match="^n must be an integer from 1 to 4$"):
+            require_int("n", value, 1, 4)
+
+    def test_accepts_the_bounds(self):
+        require_int("n", 1, 1, 4)
+        require_int("n", 4, 1, 4)
+        require_int("n", 10 ** 400, 1)
+
+    def test_power_of_two_bound_message(self):
+        with pytest.raises(ParameterError, match="^k must be an integer from 0 to 2\\*\\*40$"):
+            require_int("k", -1, 0, 2 ** 40)
+
+
 class TestMappingLoad:
+    """A JSON-style override section builds its parameter dataclass."""
+
     def test_round_trip(self):
-        deploy = from_mapping(DeploymentParams, {
+        deploy = resolve_config({"deploy": {
             "worker_intensity_per_m2": 7e-4,
             "requester_intensity_per_m2": 1e-4,
-        })
+        }}).deploy
         assert deploy == DeploymentParams(7e-4, 1e-4)
 
     def test_unknown_key_is_error(self):
         with pytest.raises(ConfigError, match="unknown key"):
-            from_mapping(DeploymentParams, {
+            resolve_config({"deploy": {
                 "worker_intensity_per_m2": 7e-4,
                 "requester_intensity_per_m2": 1e-4,
                 "worker_intensty_per_m2": 3e-4,
-            })
+            }})
 
     def test_invariant_violation_reported_as_config_error(self):
-        with pytest.raises(ConfigError):
-            from_mapping(TaskParams, {"task_exec_rate_per_s": 0.0, "d2d_slot_s": 1.0})
+        with pytest.raises(ConfigError, match="^task: task_exec_rate_per_s must be positive$"):
+            resolve_config({"task": {"task_exec_rate_per_s": 0.0}})
+        # a wrongly typed value fails its comparison with a TypeError
+        with pytest.raises(ConfigError, match="^radio: "):
+            resolve_config({"radio": {"los_radius_m": "far"}})
