@@ -29,7 +29,6 @@ from .collab import (
 from .config import ScenarioConfig, config_hash, load_config, preset, resolve_config
 from .coverage import (
     CoverageQuery,
-    QuadratureConfig,
     RandomSelection,
     RankedSelection,
     ordered_distance_pdf,

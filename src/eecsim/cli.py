@@ -133,13 +133,14 @@ def _write_csv(out_path: str | None, metadata: list[tuple[str, object]],
         raise
 
 
-def _base_metadata(command: str, config: ScenarioConfig, seed: int) -> list[tuple[str, object]]:
-    return [
+def _base_metadata(command: str, config: ScenarioConfig,
+                   sim: SimConfig | None = None) -> list[tuple[str, object]]:
+    meta = [
         ("tool", f"eecsim {__version__}"),
         ("command", command),
         ("config_hash", config_hash(config)),
-        ("seed", seed),
     ]
+    return meta if sim is None else meta + [("seed", sim.seed)]
 
 
 def _scenario_overrides(config: ScenarioConfig, scenario: str) -> ScenarioConfig:
@@ -183,7 +184,7 @@ def _delay_model(config: ScenarioConfig, variant: str, n: int, lam: float | None
     raise ConfigError(f"unknown variant {variant!r}")
 
 
-def cmd_coverage(config: ScenarioConfig, args) -> int:
+def cmd_coverage(config: ScenarioConfig, sim: SimConfig, args) -> int:
     xi_grid = _parse_grid(args.xi)
     selections = [_parse_selection(s) for s in (args.selection or ["random"])]
     radio = config.radio if args.rl is None else replace(config.radio, los_radius_m=args.rl)
@@ -193,22 +194,20 @@ def cmd_coverage(config: ScenarioConfig, args) -> int:
         header += ["simulated", "std_error", "resampled"]
     analytic = success_curves(radio, config.deploy, selections, xi_grid)
     for s, selection in enumerate(selections):
-        sim = None
         if args.simulate and xi_grid:
-            sim = empirical_success_curve(
-                SimConfig(seed=args.seed, replications=args.reps),
-                CoverageQuery(radio, config.deploy, selection), xi_grid)
+            ests = empirical_success_curve(
+                sim, CoverageQuery(radio, config.deploy, selection), xi_grid)
         for i, xi in enumerate(xi_grid):
             row = [_selection_name(selection), radio.los_radius_m, xi, analytic[s, i]]
             if args.simulate:
-                row += [sim[i].estimate, sim[i].std_error, sim[i].resampled_realizations]
+                row += [ests[i].estimate, ests[i].std_error, ests[i].resampled_realizations]
             rows.append(row)
-    meta = _base_metadata("coverage", config, args.seed)
+    meta = _base_metadata("coverage", config, sim)
     _write_csv(args.out, meta, header, rows)
     return 0
 
 
-def cmd_delay(config: ScenarioConfig, args) -> int:
+def cmd_delay(config: ScenarioConfig, sim: SimConfig, args) -> int:
     n_grid = sorted(set(_parse_int_grid(args.n)))
     if any(n < 1 for n in n_grid):
         raise ConfigError("segment counts must be >= 1")
@@ -230,7 +229,7 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
               for variant in variants for n in n_grid]
     delays = solve_chains(models)[0]
     if args.simulate:
-        sims = empirical_delay(SimConfig(seed=args.seed, replications=args.reps), models)
+        sims = empirical_delay(sim, models)
     rows = []
     for v, variant in enumerate(variants):
         block = delays[v * len(n_grid):(v + 1) * len(n_grid)]
@@ -241,12 +240,12 @@ def cmd_delay(config: ScenarioConfig, args) -> int:
                 est = sims[v * len(n_grid) + i]
                 row += [est.mean_delay_s, est.std_error_s, est.completion_fraction]
             rows.append(row)
-    meta = _base_metadata("delay", config, args.seed)
+    meta = _base_metadata("delay", config, sim)
     _write_csv(args.out, meta, header, rows)
     return 0
 
 
-def cmd_completion(config: ScenarioConfig, args) -> int:
+def cmd_completion(config: ScenarioConfig, sim: SimConfig, args) -> int:
     n_grid = sorted(set(_parse_int_grid(args.n)))
     l_values = _parse_grid(args.l)
     budget = config.reliability.spare_budget
@@ -263,14 +262,14 @@ def cmd_completion(config: ScenarioConfig, args) -> int:
         models = [build_failure_chain(n, rates[:n].tolist(), config.task.task_exec_rate_per_s,
                                       l, spare_budget=budget) for l, n in cells]
         if args.simulate:
-            sims = empirical_delay(SimConfig(seed=args.seed, replications=args.reps), models)
+            sims = empirical_delay(sim, models)
         for i, ((l, n), analytic) in enumerate(zip(cells, solve_chains(models)[1])):
             row = [l, n, budget, analytic]
             if args.simulate:
-                se = (analytic * (1.0 - analytic) / args.reps) ** 0.5
+                se = (analytic * (1.0 - analytic) / sim.replications) ** 0.5
                 row += [sims[i].completion_fraction, se]
             rows.append(row)
-    meta = _base_metadata("completion", config, args.seed)
+    meta = _base_metadata("completion", config, sim)
     _write_csv(args.out, meta, header, rows)
     return 0
 
@@ -288,7 +287,7 @@ def cmd_contour(config: ScenarioConfig, args) -> int:
     for nu_w, per_mu_f in zip(nu_w_grid, best):
         for mu_f, (best_n, delays) in zip(mu_f_grid, per_mu_f):
             rows.append([nu_w, mu_f, best_n, delays[best_n - 1]])
-    meta = _base_metadata("contour", config, args.seed)
+    meta = _base_metadata("contour", config)
     _write_csv(args.out, meta, ["nu_w_per_m2", "mu_f_per_s", "optimal_n",
                                 "mean_delay_s"], rows)
     return 0
@@ -299,7 +298,7 @@ def cmd_bias(config: ScenarioConfig, args) -> int:
     points = bias_sweep(alpha_grid(args.alpha_step), scenario.radio, scenario.deploy,
                         scenario.task, scenario.mec, n_max=args.n_max)
     alpha_star = min(points, key=lambda p: p.tau_alpha_s).alpha
-    meta = _base_metadata("bias", config, args.seed)
+    meta = _base_metadata("bias", config)
     meta += [("scenario", args.scenario), ("alpha_star", alpha_star),
              ("eec_n_reoptimized_per_alpha", True)]
     rows = [[p.alpha, p.tau_eec_s, p.tau_mec_s, p.tau_alpha_s, p.eec_optimal_n,
@@ -388,8 +387,12 @@ def _t_upper_quantile(df: int, q: float) -> float:
     raise ArithmeticError(f"t quantile did not converge at df={df}")
 
 
-def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
+def _validate_rows(config: ScenarioConfig, sim: SimConfig):
     """All analytic-versus-simulation checks; returns (rows, all_pass)."""
+    reps = sim.replications
+    if reps < 2:
+        # the delay checks need a standard error estimated from the sample
+        raise ConfigError(f"validate needs at least 2 replications, got {reps}")
     rows = []
 
     def add(check, analytic, simulated, std_error, tolerance, extra=""):
@@ -400,10 +403,9 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
         return ok
 
     all_ok = True
-    sim_cfg = SimConfig(seed=seed, replications=reps)
     # small-sample mean checks need the 3-sigma-equivalent t quantile, since
     # the standard error is itself estimated from the replications
-    t_factor = _t_upper_quantile(reps - 1, 0.00135) if reps > 1 else math.inf
+    t_factor = _t_upper_quantile(reps - 1, 0.00135)
 
     # every analytic success probability below, from one engine call
     n_values = (1, 2, 4, 6)
@@ -418,8 +420,7 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     for selection, analytic in ((RandomSelection(), p_random),
                                 (RankedSelection(1), float(p_nearest[0]))):
         query = CoverageQuery(config.radio, config.deploy, selection)
-        est = empirical_success_curve(sim_cfg, query, [config.radio.sinr_threshold_db],
-                                      chunk_size=chunk)[0]
+        est = empirical_success_curve(sim, query, [config.radio.sinr_threshold_db])[0]
         estimates.append(est)
         null_se = math.sqrt(analytic * (1.0 - analytic) / reps)
         tol = 3.0 * null_se + 0.02
@@ -430,8 +431,8 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     # worker-anchored side is the random-selection estimate above
     worker_c = estimates[0]
     query = CoverageQuery(config.radio, config.deploy, RandomSelection())
-    req_c = empirical_success_curve(sim_cfg, query, [config.radio.sinr_threshold_db],
-                                    los_classification="requester", chunk_size=chunk)[0]
+    req_c = empirical_success_curve(sim, query, [config.radio.sinr_threshold_db],
+                                    los_classification="requester")[0]
     rows.append(["coverage/classification_toggle_gap", worker_c.estimate, req_c.estimate,
                  req_c.std_error, abs(worker_c.estimate - req_c.estimate), "", "info", ""])
 
@@ -446,7 +447,7 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     models += [build_failure_chain(n, rates[:n].tolist(), mu_f, l, spare_budget=0)
                for n in completion_ns]
     times, completions = solve_chains(models)
-    sims = empirical_delay(sim_cfg, models, chunk_size=chunk)
+    sims = empirical_delay(sim, models)
 
     for (variant, n), est, analytic in zip(delay_cells, sims, times):
         all_ok &= add(f"delay/{variant}/n={n}", analytic, est.mean_delay_s,
@@ -472,10 +473,10 @@ def _validate_rows(config: ScenarioConfig, seed: int, reps: int, chunk: int):
     return rows, all_ok
 
 
-def cmd_validate(config: ScenarioConfig, args) -> int:
-    rows, all_ok = _validate_rows(config, args.seed, args.reps, args.chunk)
-    meta = _base_metadata("validate", config, args.seed)
-    meta += [("replications", args.reps), ("result", "pass" if all_ok else "fail")]
+def cmd_validate(config: ScenarioConfig, sim: SimConfig, args) -> int:
+    rows, all_ok = _validate_rows(config, sim)
+    meta = _base_metadata("validate", config, sim)
+    meta += [("replications", sim.replications), ("result", "pass" if all_ok else "fail")]
     _write_csv(args.out, meta, ["check", "analytic", "simulated", "std_error",
                                 "gap", "tolerance", "status", "note"], rows)
     return 0 if all_ok else 1
@@ -489,16 +490,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"eecsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, samples=False):
         p.add_argument("--config", help="JSON scenario overrides")
-        p.add_argument("--seed", type=int, default=None,
-                       help="simulation seed (default: scenario sim.seed)")
-        p.add_argument("--reps", type=int, default=None,
-                       help="simulation replications (default: scenario sim.replications)")
+        if samples:
+            p.add_argument("--seed", type=int, default=None,
+                           help="simulation seed (default: scenario sim.seed)")
+            p.add_argument("--reps", type=int, default=None,
+                           help="simulation replications (default: scenario sim.replications)")
         p.add_argument("--out", help="output CSV path (default: stdout)")
 
     p = sub.add_parser("coverage", help="offloading success probability vs SINR threshold")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--xi", default="-20:15:1", help="threshold grid in dB")
     p.add_argument("--selection", action="append",
                    help="random or ranked:K (repeatable; default random)")
@@ -506,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true", help="add Monte Carlo columns")
 
     p = sub.add_parser("delay", help="mean task response delay vs segment count")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--n", default="1:12:1", help="segment-count grid")
     p.add_argument("--variant", action="append",
                    choices=["random", "ordered", "ordered+failure"],
@@ -514,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--simulate", action="store_true", help="add Monte Carlo columns")
 
     p = sub.add_parser("completion", help="task completion probability vs n and l")
-    common(p)
+    common(p, samples=True)
     p.add_argument("--n", default="1:18:1", help="segment-count grid")
     p.add_argument("--l", default="1,2,5", help="reliability parameter list")
     p.add_argument("--simulate", action="store_true", help="add Monte Carlo columns")
@@ -533,19 +535,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=50, help="largest n searched")
 
     p = sub.add_parser("validate", help="analytic-versus-simulation check suite")
-    common(p)
-    p.add_argument("--chunk", type=int, default=4096,
-                   help="internal replication chunk width (results do not depend on it)")
+    common(p, samples=True)
     return parser
 
 
-_COMMANDS = {
+# the commands that take --seed and --reps, and those that sample nothing
+_SAMPLING = {
     "coverage": cmd_coverage,
     "delay": cmd_delay,
     "completion": cmd_completion,
+    "validate": cmd_validate,
+}
+_ANALYTIC = {
     "contour": cmd_contour,
     "bias": cmd_bias,
-    "validate": cmd_validate,
 }
 
 
@@ -554,11 +557,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is None:
-            args.seed = config.sim.seed
-        if getattr(args, "reps", None) is None:
-            args.reps = config.sim.replications
-        return _COMMANDS[args.command](config, args)
+        if args.command in _ANALYTIC:
+            return _ANALYTIC[args.command](config, args)
+        # checked here, so a bad flag fails whether or not the command samples
+        flags = {"seed": args.seed, "replications": args.reps}
+        sim = replace(config.sim, **{key: v for key, v in flags.items() if v is not None})
+        return _SAMPLING[args.command](config, sim, args)
     except (ConfigError, ParameterError, QuadratureError, UnservableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

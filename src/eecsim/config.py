@@ -31,9 +31,6 @@ class ScenarioConfig:
     mec: MecParams
     sim: SimConfig
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def preset() -> ScenarioConfig:
     """The table1 scenario: the default mmWave deployment."""
@@ -122,5 +119,5 @@ def load_config(path: str | None) -> ScenarioConfig:
 
 def config_hash(config: ScenarioConfig) -> str:
     """Stable short hash of the fully resolved configuration."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]

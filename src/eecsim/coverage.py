@@ -26,7 +26,7 @@ node-doubling loop (:func:`_refine`) evaluates the kernel once per
 density at that intensity still refining at that threshold.  Each quantity
 (one probability, or one block of ranks judged as a vector) stops at the
 first doubling where its value changed by at most
-rel_tol * max|value| + abs_tol, so batching changes no output.  The
+_REL_TOL * max|value| + _ABS_TOL, so batching changes no output.  The
 single-query functions are thin wrappers over the engine.
 
 Everything here is a pure function of value inputs and is safe to evaluate
@@ -50,7 +50,6 @@ __all__ = [
     "RandomSelection",
     "RankedSelection",
     "CoverageQuery",
-    "QuadratureConfig",
     "success_curves",
     "success_probability",
     "ranked_success_probabilities",
@@ -80,28 +79,13 @@ class CoverageQuery:
     selection: RandomSelection | RankedSelection = RandomSelection()
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances for the nested quadrature.
-
-    Node counts double from ``start_nodes`` until two successive refinements
-    agree to ``rel_tol``/``abs_tol``; exceeding ``max_nodes`` raises
-    QuadratureError.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    start_nodes: int = 64
-    max_nodes: int = 4096
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ParameterError("quadrature tolerances must be positive")
-        if self.start_nodes < 4 or self.max_nodes < self.start_nodes:
-            raise ParameterError("node counts must satisfy 4 <= start_nodes <= max_nodes")
-
-
-_DEFAULT_QUAD = QuadratureConfig()
+# node counts double from _START_NODES until two successive refinements
+# agree to _REL_TOL/_ABS_TOL; a quantity still refining at _MAX_NODES raises
+# QuadratureError.  _refine reads them at each call, so a test may patch them
+_REL_TOL = 1e-8
+_ABS_TOL = 1e-12
+_START_NODES = 64
+_MAX_NODES = 4096
 
 # float64 elements per (serving distances x inner nodes) temporary of the
 # nested quadrature: 128 KiB, small enough to stay in cache at any node count
@@ -205,31 +189,31 @@ def _kernel(r0: np.ndarray, radio: RadioParams, nu_r: float,
     return out
 
 
-def _refine(evaluate, keys, cfg: QuadratureConfig, what: str) -> dict:
+def _refine(evaluate, keys, what: str) -> dict:
     """The one node-doubling loop: refine every keyed quantity to tolerance.
 
     ``evaluate(n, pending)`` returns ``{key: value}`` at ``n`` nodes for the
     keys still refining, given in their original order; a value is a float
     or an array.  A key stops at the first doubling where
-    max|cur - prev| <= rel_tol * max|cur| + abs_tol and keeps that value, so
-    refining it alongside others changes nothing.  QuadratureError reports
-    the largest last change among keys still refining at ``max_nodes``.
+    max|cur - prev| <= _REL_TOL * max|cur| + _ABS_TOL and keeps that value,
+    so refining it alongside others changes nothing.  QuadratureError reports
+    the largest last change among keys still refining at ``_MAX_NODES``.
     """
     pending = list(keys)
     prev, change, done = {}, {}, {}
-    n = cfg.start_nodes
+    n = _START_NODES
     while pending:
         for key, cur in evaluate(n, pending).items():
             if key in prev:
                 change[key] = float(np.max(np.abs(cur - prev[key])))
-                if change[key] <= cfg.rel_tol * float(np.max(np.abs(cur))) + cfg.abs_tol:
+                if change[key] <= _REL_TOL * float(np.max(np.abs(cur))) + _ABS_TOL:
                     done[key] = cur
             prev[key] = cur
         pending = [key for key in pending if key not in done]
-        if pending and n >= cfg.max_nodes:
+        if pending and n >= _MAX_NODES:
             achieved = max(change.get(key, math.inf) for key in pending)
             raise QuadratureError(
-                f"{what}: quadrature did not converge below rel_tol={cfg.rel_tol} "
+                f"{what}: quadrature did not converge below rel_tol={_REL_TOL} "
                 f"(last refinement changed by {achieved:.3e})",
                 achieved=achieved)
         n *= 2
@@ -301,8 +285,7 @@ class ServingDensity:
         return weights @ (kern * w0)
 
 
-def success_table(radio: RadioParams, densities, xi_db_values,
-                  cfg: QuadratureConfig = _DEFAULT_QUAD) -> list[list]:
+def success_table(radio: RadioParams, densities, xi_db_values) -> list[list]:
     """Success probabilities for every density at every threshold (dB).
 
     Returns ``table[d][t]``, clipped to [0, 1]: a float for random selection,
@@ -331,7 +314,7 @@ def success_table(radio: RadioParams, densities, xi_db_values,
                 values[t, d] = densities[d]._average(weights[d], kernels[nu_r], w0)
         return values
 
-    done = _refine(evaluate, keys, cfg, "success probability")
+    done = _refine(evaluate, keys, "success probability")
     table = []
     for d, density in enumerate(densities):
         row = [np.clip(done[t, d], 0.0, 1.0) for t in range(len(xis))]
@@ -340,7 +323,7 @@ def success_table(radio: RadioParams, densities, xi_db_values,
 
 
 def success_curves(radio: RadioParams, deploy: DeploymentParams, selections,
-                   xi_db_values, cfg: QuadratureConfig = _DEFAULT_QUAD) -> np.ndarray:
+                   xi_db_values) -> np.ndarray:
     """Success probability per selection rule (rows) and threshold in dB (columns).
 
     Rank-k entries are unnormalized: each includes the probability that at
@@ -355,25 +338,24 @@ def success_curves(radio: RadioParams, deploy: DeploymentParams, selections,
         else:
             raise ParameterError(f"unknown selection rule {selection!r}")
     xi_db_values = list(xi_db_values)
-    table = success_table(radio, densities, xi_db_values, cfg)
+    table = success_table(radio, densities, xi_db_values)
     out = np.empty((len(densities), len(xi_db_values)))
     for d, row in enumerate(table):
         out[d] = [p if densities[d].ranks is None else p[0] for p in row]
     return out
 
 
-def success_probability(q: CoverageQuery, cfg: QuadratureConfig = _DEFAULT_QUAD) -> float:
+def success_probability(q: CoverageQuery) -> float:
     """Success probability under the query's selection rule and threshold."""
     return float(success_curves(q.radio, q.deploy, [q.selection],
-                                [q.radio.sinr_threshold_db], cfg)[0, 0])
+                                [q.radio.sinr_threshold_db])[0, 0])
 
 
-def ranked_success_probabilities(q: CoverageQuery, ks,
-                                 cfg: QuadratureConfig = _DEFAULT_QUAD) -> np.ndarray:
+def ranked_success_probabilities(q: CoverageQuery, ks) -> np.ndarray:
     """Success probabilities for several ranks at once, refined as one vector.
 
     The query's own selection is not used; ``ks`` lists the ranks.  Values
     are unnormalized, as in :func:`success_curves`.
     """
     density = ServingDensity(q.deploy, ks)
-    return success_table(q.radio, [density], [q.radio.sinr_threshold_db], cfg)[0][0]
+    return success_table(q.radio, [density], [q.radio.sinr_threshold_db])[0][0]

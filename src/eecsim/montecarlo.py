@@ -45,6 +45,9 @@ _MAX_SEED = 2 ** 64 - 1
 _PURPOSE_SPATIAL = 1
 _PURPOSE_TRAJECTORY = 2
 _RESAMPLE_LIMIT = 10_000
+# replications whose stream keys are hashed, and whose trajectories step as
+# lanes, together; no result depends on it, and tests patch it to show that
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -183,14 +186,13 @@ def _rep_sinr(rng, radio: RadioParams, deploy: DeploymentParams, selection,
 
 
 def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
-                            los_classification: str = "worker",
-                            chunk_size: int = 4096) -> list[CoverageEstimate]:
+                            los_classification: str = "worker") -> list[CoverageEstimate]:
     """Estimate offloading success for several SINR thresholds at once.
 
     One SINR sample per replication is compared against every threshold;
     realizations with too few LoS workers for the selection rule are
     resampled (sequentially within the replication's own stream) and
-    counted.  Results do not depend on ``chunk_size``.
+    counted.  Results do not depend on ``_CHUNK``.
     """
     thresholds = np.array([10.0 ** (float(x) / 10.0) for x in xi_db_values])
     radio, deploy, selection = query.radio, query.deploy, query.selection
@@ -206,16 +208,14 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     counts = np.zeros(len(thresholds), dtype=np.int64)
     resampled = 0
     reps = cfg.replications
-    if chunk_size < 1:
-        raise ParameterError("chunk_size must be >= 1")
     # one generator for the whole run, rewound to each replication's own
     # stream (Philox keyed by its two 64-bit key words, counter at zero): the
     # same draws as a fresh generator per replication, without building one
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    for start in range(0, reps, chunk_size):
-        for key in _stream_keys(cfg.seed, start, min(start + chunk_size, reps), _PURPOSE_SPATIAL):
+    for start in range(0, reps, _CHUNK):
+        for key in _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_SPATIAL):
             state["state"]["key"] = key
             bitgen.state = state
             attempts = 0
@@ -332,17 +332,14 @@ def _trajectories(table: _JumpTables, words: np.ndarray, rng: random.Random,
     return np.concatenate(delays), successes
 
 
-def empirical_delay(cfg: SimConfig, models: list[ChainModel],
-                    chunk_size: int = 4096) -> list[DelayEstimate]:
+def empirical_delay(cfg: SimConfig, models: list[ChainModel]) -> list[DelayEstimate]:
     """Trajectory-averaged absorption delay and completion fraction, per model.
 
-    Each chunk of ``chunk_size`` replications seeds its streams once, and
+    Each chunk of ``_CHUNK`` replications seeds its streams once, and
     every model replays them.  Each mean is a correctly rounded sum of
     per-replication delays, so neither chunking nor the order in which
     trajectories end can perturb the result.
     """
-    if chunk_size < 1:
-        raise ParameterError("chunk_size must be >= 1")
     tables = [_JumpTables(model) for model in models]
     reps = cfg.replications
     delays = [array("d") for _ in tables]
@@ -350,8 +347,8 @@ def empirical_delay(cfg: SimConfig, models: list[ChainModel],
     rng = random.Random()
     # the shortest trajectory of the largest chain: n allocations, n completions
     steps = 2 * max((model.n for model in models), default=0)
-    for start in range(0, reps, chunk_size):
-        keys = _stream_keys(cfg.seed, start, min(start + chunk_size, reps), _PURPOSE_TRAJECTORY)
+    for start in range(0, reps, _CHUNK):
+        keys = _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_TRAJECTORY)
         prefix = _prefixes(rng, keys, steps)
         for m, table in enumerate(tables):
             chunk_delays, done = _trajectories(table, prefix, rng, keys)

@@ -33,6 +33,7 @@ from eecsim.coverage import (
     ranked_success_probabilities,
     success_probability,
 )
+from eecsim import montecarlo
 from eecsim.montecarlo import SimConfig, empirical_delay, empirical_success_curve
 
 SCENARIO = preset()
@@ -286,12 +287,13 @@ def test_criterion_09_mec_zero_load_anchor():
     print(f"\nACCEPTANCE 9: PASS (zero-load MEC delay {got:.4f})")
 
 
-def test_criterion_10_validate_determinism(tmp_path):
+def test_criterion_10_validate_determinism(tmp_path, monkeypatch):
     outs = []
-    for name, chunk in (("a.csv", "4096"), ("b.csv", "4096"), ("c.csv", "97")):
+    for name, chunk in (("a.csv", 4096), ("b.csv", 4096), ("c.csv", 97)):
         out = tmp_path / name
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         code = main(["validate", "--reps", "2000", "--seed", str(MC_SEED),
-                     "--chunk", chunk, "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]

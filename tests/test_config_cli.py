@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from scipy.special import stdtrit
 
-from eecsim import chain, cli, collab, coverage
+from eecsim import chain, cli, collab, coverage, montecarlo
 from eecsim.chain import worker_idle_probability
 from eecsim.cli import main
 from eecsim.config import _SECTIONS, config_hash, load_config, preset, resolve_config
@@ -336,12 +336,13 @@ class TestOneCallPerCommand:
 
 
 class TestValidateCommand:
-    def test_passes_and_is_deterministic(self, tmp_path):
+    def test_passes_and_is_deterministic(self, tmp_path, monkeypatch):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
         args = ["validate", "--reps", "400", "--seed", "5"]
         assert main(args + ["--out", str(out_a)]) == 0
-        assert main(args + ["--out", str(out_b), "--chunk", "7"]) == 0
+        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_report_shape(self, tmp_path):
@@ -390,14 +391,6 @@ class TestTQuantile:
             1.0 / math.tan(math.pi * q), rel=1e-14)
         assert cli._t_upper_quantile(2, q) == pytest.approx(
             (1.0 - 2.0 * q) / math.sqrt(2.0 * q * (1.0 - q)), rel=1e-14)
-
-    def test_single_replication_gives_an_infinite_factor(self, tmp_path):
-        out = tmp_path / "one.csv"
-        assert main(["validate", "--reps", "1", "--out", str(out)]) in (0, 1)
-        _, header, rows = read_csv(out)
-        tolerances = [r[header.index("tolerance")] for r in rows if r[0].startswith("delay/")]
-        assert len(tolerances) == 12
-        assert set(tolerances) == {"inf"}
 
 
 class TestCliErrors:
@@ -470,6 +463,32 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "error: replications must be an integer from 1 to 2**32\n")
 
+    def test_validate_needs_two_replications(self, tmp_path, capsys):
+        # at one replication no delay standard error exists, and an infinite
+        # tolerance would pass whatever the simulator returned
+        out = tmp_path / "one.csv"
+        assert main(["validate", "--reps", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: validate needs at least 2 replications, got 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["coverage", "--xi=0", "--reps", "-5"],
+                                      ["delay", "--n", "1:3:1", "--reps", "0"],
+                                      ["completion", "--n", "1:2:1", "--seed", "-1"]])
+    def test_bad_sampling_flag_exits_2_without_simulate(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["contour", "--nu-w", "7e-4", "--mu-f", "0.02", "--n-max", "3", "--reps", "5"],
+        ["bias", "--seed", "9"]])
+    def test_commands_that_sample_nothing_take_no_sampling_flags(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_bad_selection_exits_2(self, tmp_path):
         assert main(["coverage", "--xi", "0", "--selection", "nearest"]) == 2
 
@@ -478,6 +497,23 @@ class TestCliErrors:
         captured = capsys.readouterr().out
         assert captured.startswith("# tool: eecsim")
         assert "success_probability" in captured
+
+
+def test_option_surface():
+    # every option of every command; a new knob has to be added here
+    [commands] = [action.choices for action in cli.build_parser()._actions
+                  if action.choices and action.dest == "command"]
+    sampling = ["-h", "--help", "--config", "--seed", "--reps", "--out"]
+    analytic = ["-h", "--help", "--config", "--out"]
+    assert {name: [flag for action in p._actions for flag in action.option_strings]
+            for name, p in commands.items()} == {
+        "coverage": sampling + ["--xi", "--selection", "--rl", "--simulate"],
+        "delay": sampling + ["--n", "--variant", "--simulate"],
+        "completion": sampling + ["--n", "--l", "--simulate"],
+        "contour": analytic + ["--nu-w", "--mu-f", "--n-max"],
+        "bias": analytic + ["--alpha-step", "--scenario", "--n-max"],
+        "validate": sampling,
+    }
 
 
 # the sim section's replications stay small, so the Monte Carlo probe is quick

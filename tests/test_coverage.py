@@ -12,7 +12,6 @@ from eecsim import coverage
 from eecsim.cli import main
 from eecsim.coverage import (
     CoverageQuery,
-    QuadratureConfig,
     RandomSelection,
     RankedSelection,
     ServingDensity,
@@ -82,7 +81,7 @@ def exponents(radio, nu_r, r0=50.0):
         w, z = coverage._wz_exponents(np.array([r0]), radio, nu_r, xi, n)
         return {"W": float(w[0, 0]), "Z": float(z[0, 0])}
 
-    done = coverage._refine(evaluate, ["W", "Z"], QuadratureConfig(), "exponents")
+    done = coverage._refine(evaluate, ["W", "Z"], "exponents")
     return done["W"], done["Z"]
 
 
@@ -167,10 +166,12 @@ class TestSuccessProbability:
         assert np.all(np.diff(ps) <= 1e-12)
         assert np.all((ps >= 0) & (ps <= 1))
 
-    def test_tolerance_self_consistency(self, radio, deploy):
+    def test_tolerance_self_consistency(self, radio, deploy, monkeypatch):
         q = CoverageQuery(radio, deploy)
-        p_coarse = success_probability(q, QuadratureConfig(rel_tol=1e-6))
-        p_fine = success_probability(q, QuadratureConfig(rel_tol=5e-7))
+        monkeypatch.setattr(coverage, "_REL_TOL", 1e-6)
+        p_coarse = success_probability(q)
+        monkeypatch.setattr(coverage, "_REL_TOL", 5e-7)
+        p_fine = success_probability(q)
         assert abs(p_fine - p_coarse) < 1e-6 * abs(p_coarse)
 
     def test_unknown_selection_rejected(self, radio, deploy):
@@ -253,11 +254,12 @@ class TestAvailabilityMass:
         assert got == pytest.approx(0.05998, abs=5e-5)
 
 
-def per_quantity(radio, density, xi_db, cfg):
+def per_quantity(radio, density, xi_db):
     """One quantity refined on its own: the doubling rule on the kernel, no sharing.
 
     Returns the clipped value (a float for random selection, an array over
-    the ranks otherwise) or raises QuadratureError at ``cfg.max_nodes``.
+    the ranks otherwise) or raises QuadratureError past the engine's node
+    cap, read from its constants at call time.
     """
     rl = radio.los_radius_m
     nu_r = density.deploy.requester_intensity_per_m2
@@ -272,14 +274,14 @@ def per_quantity(radio, density, xi_db, cfg):
                          for k in density.ranks])
         return dens @ (kern * w0)
 
-    n = cfg.start_nodes
+    n = coverage._START_NODES
     prev = value(n)
     change = math.inf
-    while n < cfg.max_nodes:
+    while n < coverage._MAX_NODES:
         n *= 2
         cur = value(n)
         change = float(np.max(np.abs(cur - prev)))
-        if change <= cfg.rel_tol * float(np.max(np.abs(cur))) + cfg.abs_tol:
+        if change <= coverage._REL_TOL * float(np.max(np.abs(cur))) + coverage._ABS_TOL:
             return np.clip(cur, 0.0, 1.0)
         prev = cur
     raise QuadratureError("per-quantity refinement did not converge", achieved=change)
@@ -304,7 +306,7 @@ _selection = st.one_of(st.just(RandomSelection()),
 
 
 class TestEngine:
-    # max_nodes=512 keeps every example cheap; examples that need more nodes
+    # a 512-node cap keeps every example cheap; examples that need more nodes
     # must then fail the same way in both routes
     @settings(max_examples=40, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -316,27 +318,29 @@ class TestEngine:
            block=st.integers(1, 8))
     def test_batch_matches_per_quantity_loop(self, radio, xis, rl, log_nu_w, log_nu_rs,
                                              selections, block):
-        cfg = QuadratureConfig(max_nodes=512)
-        radio = replace(radio, los_radius_m=rl)
-        deploys = [DeploymentParams(10.0 ** log_nu_w, 10.0 ** e) for e in log_nu_rs]
-        # every selection and the rank block at each requester intensity
-        densities = [density for deploy in deploys for density in
-                     [ServingDensity(deploy) if isinstance(s, RandomSelection)
-                      else ServingDensity(deploy, (s.rank,)) for s in selections]
-                     + [ServingDensity(deploy, range(1, block + 1))]]
-        try:
-            want = [[per_quantity(radio, d, xi, cfg) for xi in xis] for d in densities]
-        except QuadratureError:
-            with pytest.raises(QuadratureError):
-                success_table(radio, densities, xis, cfg)
-            return
-        got = success_table(radio, densities, xis, cfg)
-        for got_row, want_row in zip(got, want):
-            for g, w in zip(got_row, want_row):
-                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
-        curves = success_curves(radio, deploys[0], selections, xis, cfg)
-        scalars = [[float(np.ravel(p)[0]) for p in row] for row in got[:len(selections)]]
-        assert curves.tolist() == scalars
+        # a function-scoped fixture cannot span examples: patch per example
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(coverage, "_MAX_NODES", 512)
+            radio = replace(radio, los_radius_m=rl)
+            deploys = [DeploymentParams(10.0 ** log_nu_w, 10.0 ** e) for e in log_nu_rs]
+            # every selection and the rank block at each requester intensity
+            densities = [density for deploy in deploys for density in
+                         [ServingDensity(deploy) if isinstance(s, RandomSelection)
+                          else ServingDensity(deploy, (s.rank,)) for s in selections]
+                         + [ServingDensity(deploy, range(1, block + 1))]]
+            try:
+                want = [[per_quantity(radio, d, xi) for xi in xis] for d in densities]
+            except QuadratureError:
+                with pytest.raises(QuadratureError):
+                    success_table(radio, densities, xis)
+                return
+            got = success_table(radio, densities, xis)
+            for got_row, want_row in zip(got, want):
+                for g, w in zip(got_row, want_row):
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+            curves = success_curves(radio, deploys[0], selections, xis)
+            scalars = [[float(np.ravel(p)[0]) for p in row] for row in got[:len(selections)]]
+            assert curves.tolist() == scalars
 
     def test_mixed_intensities_match_separate_tables(self, radio, deploy):
         deploys = [replace(deploy, requester_intensity_per_m2=nu)
@@ -370,10 +374,11 @@ class TestEngine:
         assert len(kernel_calls) == calls
         assert sorted(set(kernel_calls)) == [64, 128]
 
-    def test_divergent_regime_fails_typed(self, radio, deploy):
+    def test_divergent_regime_fails_typed(self, radio, deploy, monkeypatch):
         q = CoverageQuery(replace(radio, pathloss_exp_nlos=2.2), deploy)
+        monkeypatch.setattr(coverage, "_MAX_NODES", 256)
         with pytest.raises(QuadratureError) as info:
-            success_probability(q, QuadratureConfig(max_nodes=256))
+            success_probability(q)
         assert info.value.achieved is not None and math.isfinite(info.value.achieved)
 
     def test_kernel_rows_in_bounded_blocks(self, radio, deploy):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eecsim import cli
+from eecsim import cli, montecarlo
 from eecsim.chain import (
     build_baseline,
     build_failure_chain,
@@ -253,11 +253,13 @@ class TestLinkSinr:
 
 
 class TestEmpiricalCoverage:
-    def test_reproducible_and_chunk_invariant(self, radio, deploy):
+    def test_reproducible_and_chunk_invariant(self, radio, deploy, monkeypatch):
         query = CoverageQuery(radio, deploy, RandomSelection())
-        runs = [empirical_success_curve(SimConfig(seed=7, replications=500), query,
-                                        [5.0], chunk_size=chunk)[0]
-                for chunk in (1, 64, 500)]
+        runs = []
+        for chunk in (1, 64, 500):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            runs.append(empirical_success_curve(SimConfig(seed=7, replications=500), query,
+                                                [5.0])[0])
         assert runs[0].estimate == runs[1].estimate == runs[2].estimate
 
     def test_matches_analysis_random(self, radio, deploy):
@@ -400,11 +402,12 @@ class TestTrajectories:
         est = empirical_delay(SimConfig(seed=12, replications=500), [model])[0]
         assert est.completion_fraction == 1.0
 
-    def test_reproducible_and_chunk_invariant(self):
+    def test_reproducible_and_chunk_invariant(self, monkeypatch):
         models = mixed_batch()
-        runs = [empirical_delay(SimConfig(seed=13, replications=400), models,
-                                chunk_size=chunk)
-                for chunk in (1, 37, 400)]
+        runs = []
+        for chunk in (1, 37, 400):
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            runs.append(empirical_delay(SimConfig(seed=13, replications=400), models))
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("model", [
@@ -415,12 +418,12 @@ class TestTrajectories:
         build_failure_chain(3, [0.9, 0.6, 0.4], 0.05, 0.1, spare_budget=10),
     ], ids=["unlimited", "budget10"])
     @pytest.mark.parametrize("chunk", [1, 7, 300])
-    def test_long_trajectories_regrow_the_prefix(self, model, chunk):
+    def test_long_trajectories_regrow_the_prefix(self, model, chunk, monkeypatch):
         # the estimator holds a prefix of each stream as long as the
         # shortest trajectory of the chain, 2n steps, and doubles it for the
         # lanes that outrun it; these chains outrun it several times
-        est = empirical_delay(SimConfig(seed=44, replications=300), [model],
-                              chunk_size=chunk)[0]
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        est = empirical_delay(SimConfig(seed=44, replications=300), [model])[0]
         assert (est.mean_delay_s, est.std_error_s, est.completion_fraction) == (
             one_by_one(44, 300, model))
 
@@ -444,10 +447,11 @@ def mixed_batch():
 class TestBatch:
     """One call over many models replays each replication's stream per model."""
 
-    def test_matches_trajectories_one_by_one(self):
+    def test_matches_trajectories_one_by_one(self, monkeypatch):
         # bit for bit, with a chunk width that does not divide the count
+        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
         models = mixed_batch()
-        ests = empirical_delay(SimConfig(seed=41, replications=300), models, chunk_size=64)
+        ests = empirical_delay(SimConfig(seed=41, replications=300), models)
         assert len(ests) == len(models)
         for model, est in zip(models, ests):
             assert (est.mean_delay_s, est.std_error_s, est.completion_fraction) == (
