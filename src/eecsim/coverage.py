@@ -109,6 +109,21 @@ def _check_nlos_exponent(radio: RadioParams):
             "NLoS interference integral diverges for pathloss_exp_nlos <= 2", achieved=None)
 
 
+def _fade_sums(u: np.ndarray, c: float | np.ndarray, m: int, weights: np.ndarray,
+               y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row sums of (1 - (1 + c u)**(-m)) * weights, worked in the buffers y and
+    out: y**m by m - 1 multiplications, whose overflow gives the true limit 1."""
+    np.multiply(u, c, out=y)
+    y += 1.0
+    np.copyto(out, y)
+    with np.errstate(over="ignore"):
+        for _ in range(m - 1):
+            out *= y
+    np.divide(1.0, out, out=out)
+    np.subtract(1.0, out, out=out)
+    return np.einsum("ij,j->i", out, weights)
+
+
 def _wz_exponents(r0: np.ndarray, radio: RadioParams, nu_r: float,
                   xi: float, n_inner: int) -> tuple[np.ndarray, np.ndarray]:
     """W_j(r0) and Z_j(r0) for j = 1..N_L, shape (N_L, len(r0)).
@@ -116,8 +131,8 @@ def _wz_exponents(r0: np.ndarray, radio: RadioParams, nu_r: float,
     xi is the linear SINR threshold.  The alignment-gain average runs over
     the four sectored-antenna outcomes; gains are normalized by the aligned
     product M_r * M_w.  Serving distances are taken in blocks of about
-    ``_BLOCK_ELEMENTS / n_inner`` rows; each row's sums do not depend on the
-    block it falls in.
+    ``_BLOCK_ELEMENTS / n_inner`` rows; einsum row sums, unlike BLAS ones, do
+    not depend on the block a row falls in.
     """
     n_l = radio.nakagami_los
     n_n = radio.nakagami_nlos
@@ -146,27 +161,19 @@ def _wz_exponents(r0: np.ndarray, radio: RadioParams, nu_r: float,
         rows = r0[lo:lo + height]
         block = slice(lo, lo + rows.size)
         ratio_pow = (rows[:, None] / x[None, :]) ** a_l      # (rows, nx)
-        r0_pow = rows ** a_l
+        r0_pow = rows[:, None] ** a_l
+        y, buf = np.empty_like(ratio_pow), np.empty_like(ratio_pow)
         for j in range(1, n_l + 1):
-            w_acc = np.zeros(rows.size)
-            z_acc = np.zeros(rows.size)
             sums = {}  # the two mixed alignments share one gain
             for gain, prob in pairs:
                 if gain not in sums:
-                    abar = gain / aligned
-                    c_los = eta * abar * j * xi / n_l
-                    w_fade = (1.0 + c_los * ratio_pow) ** (-n_l)
-                    c_nlos = eta * abar * j * xi * ratio_cn / n_n
-                    arg = c_nlos * r0_pow[:, None] * t_pow[None, :]
-                    z_fade = (1.0 + arg) ** (-n_n)
-                    sums[gain] = (((1.0 - w_fade) * x_wx).sum(axis=1),
-                                  ((1.0 - z_fade) * wt_t3).sum(axis=1))
+                    c = eta * (gain / aligned) * j * xi
+                    sums[gain] = (_fade_sums(ratio_pow, c / n_l, n_l, x_wx, y, buf),
+                                  _fade_sums(t_pow, c * ratio_cn / n_n * r0_pow, n_n, wt_t3, y, buf))
                 w_sum, z_sum = sums[gain]
-                w_acc += prob * w_sum
-                z_acc += prob * rl * rl * z_sum
-            W[j - 1, block] = pre * w_acc
-            Z[j - 1, block] = pre * z_acc
-    return W, Z
+                W[j - 1, block] += prob * w_sum
+                Z[j - 1, block] += prob * rl * rl * z_sum
+    return pre * W, pre * Z
 
 
 def _kernel(r0: np.ndarray, radio: RadioParams, nu_r: float,
@@ -236,19 +243,23 @@ def ordered_distance_pdf(k: int, r, deploy: DeploymentParams,
     r_arr = np.asarray(r, dtype=float)
     if np.any((r_arr < 0) | (r_arr > los_radius_m)):
         raise ParameterError("r must lie in [0, los_radius_m]")
-    v = deploy.mean_los_workers(los_radius_m)
-    if v == 0.0:
-        return np.zeros_like(r_arr) if r_arr.ndim else 0.0
-    cdf = r_arr ** 2 / los_radius_m ** 2
-    with np.errstate(divide="ignore"):
-        log_pdf = np.where(r_arr > 0, np.log(2.0 * r_arr / los_radius_m ** 2), -np.inf)
-        log_cdf = np.where(cdf > 0, np.log(cdf), -np.inf)
-    log_fk = (k * math.log(v) - v - lgamma(k) + log_pdf
-              + (k - 1) * log_cdf - v * (cdf - 1.0))
-    out = np.exp(log_fk)
-    # k >= 2 vanishes at r = 0; exp(-inf) already gives 0, guard 0 * inf
-    out = np.where(np.isfinite(log_fk), out, 0.0)
+    out = _rank_densities((k,), r_arr, deploy, los_radius_m)[0]
     return out if r_arr.ndim else float(out)
+
+
+def _rank_densities(ks, r: np.ndarray, deploy: DeploymentParams, rl: float) -> np.ndarray:
+    """Every rank's :func:`ordered_distance_pdf` at r, one row per rank; unchecked."""
+    v = deploy.mean_los_workers(rl)
+    if v == 0.0:
+        return np.zeros((len(ks),) + r.shape)
+    cdf = r ** 2 / rl ** 2
+    with np.errstate(divide="ignore"):
+        log_pdf = np.where(r > 0, np.log(2.0 * r / rl ** 2), -np.inf)
+        log_cdf = np.where(cdf > 0, np.log(cdf), -np.inf)
+    head = np.add.outer([k * math.log(v) - v - lgamma(k) for k in ks], log_pdf)
+    log_fk = head + np.multiply.outer(np.subtract(ks, 1), log_cdf) - v * (cdf - 1.0)
+    # k >= 2 vanishes at r = 0; exp(-inf) already gives 0, guard 0 * inf
+    return np.where(np.isfinite(log_fk), np.exp(log_fk), 0.0)
 
 
 @dataclass(frozen=True)
@@ -277,7 +288,7 @@ class ServingDensity:
     def _weights(self, r0: np.ndarray, rl: float) -> np.ndarray:
         if self.ranks is None:
             return 2.0 * r0 / rl ** 2
-        return np.stack([ordered_distance_pdf(k, r0, self.deploy, rl) for k in self.ranks])
+        return _rank_densities(self.ranks, r0, self.deploy, rl)
 
     def _average(self, weights: np.ndarray, kern: np.ndarray, w0: np.ndarray):
         if self.ranks is None:

@@ -68,9 +68,9 @@ def alzer_eta(shape: int) -> float:
 class RadioParams:
     """mmWave channel, antenna, blockage and SINR-threshold parameters.
 
-    dB/dBi fields are stored as given; the matching linear values are
-    exposed as attributes computed at construction (``intercept_los``,
-    ``main_lobe`` and so on).
+    dB/dBi fields are stored as given; the matching linear values
+    (``intercept_los``, ``main_lobe`` and so on) are properties converted
+    from them on every read.
     """
 
     sinr_threshold_db: float
@@ -100,7 +100,6 @@ class RadioParams:
         if not 0.0 < self.beamwidth_rad < TWO_PI:
             raise ParameterError("beamwidth_rad must lie in (0, 2*pi)")
 
-    # Linear-domain views, converted on every read.
     @property
     def intercept_los(self) -> float:
         return db_to_linear(self.intercept_los_db)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,113 @@ class TestInterferenceExponents:
         assert info.value.achieved is None
 
 
+def wz_exponents_ref(r0, radio, nu_r, xi, n_inner,
+                     complement=lambda y, m: 1.0 - y ** (-m)):
+    """The package's W_j and Z_j with each fade complement 1 - y**(-m)
+    taken from ``complement(y, m)``; by default numpy's general power, the
+    reference for the integer-shape kernel."""
+    n_l = radio.nakagami_los
+    n_n = radio.nakagami_nlos
+    a_l = radio.pathloss_exp_los
+    a_n = radio.pathloss_exp_nlos
+    rl = radio.los_radius_m
+    eta = radio.alzer_los
+    aligned = radio.main_lobe * radio.main_lobe
+
+    W = np.zeros((n_l, r0.size))
+    Z = np.zeros((n_l, r0.size))
+    if nu_r == 0.0 or xi == 0.0:
+        return W, Z
+
+    pairs = directivity_distribution(radio)
+    x, wx = coverage._gauss_nodes(n_inner, 0.0, rl)
+    t, wt = coverage._gauss_nodes(n_inner, 0.0, 1.0)
+    t_pow = (t ** a_n) / rl ** a_n
+    wt_t3 = wt / t ** 3
+    x_wx = x * wx
+    ratio_cn = radio.intercept_nlos / radio.intercept_los
+    pre = 2.0 * math.pi * nu_r
+
+    ratio_pow = (r0[:, None] / x[None, :]) ** a_l
+    r0_pow = r0 ** a_l
+    for j in range(1, n_l + 1):
+        w_acc = np.zeros(r0.size)
+        z_acc = np.zeros(r0.size)
+        for gain, prob in pairs:
+            abar = gain / aligned
+            c_los = eta * abar * j * xi / n_l
+            w_comp = complement(1.0 + c_los * ratio_pow, n_l)
+            c_nlos = eta * abar * j * xi * ratio_cn / n_n
+            arg = c_nlos * r0_pow[:, None] * t_pow[None, :]
+            z_comp = complement(1.0 + arg, n_n)
+            w_acc += prob * (w_comp * x_wx).sum(axis=1)
+            z_acc += prob * rl * rl * (z_comp * wt_t3).sum(axis=1)
+        W[j - 1] = pre * w_acc
+        Z[j - 1] = pre * z_acc
+    return W, Z
+
+
+def assert_kernel_matches_power_form(radio, nu_r, xi, n_inner, rel=1e-13):
+    """W, Z and the kernel at 64 serving distances agree with the power-form
+    reference to ``rel``, up to the rounding of the fades themselves.
+
+    A fade complement 1 - y**(-m) from m - 1 products and a reciprocal
+    differs from one pow call by at most (m + 2) eps, and not at all where
+    y rounds to 1.  Where y is close to 1 that is most of the value, lost to
+    cancellation in both forms; with the 1/t^3 weights of Z near t = 0 it
+    can reach 1e-9 of Z when alpha_N is close to 2.  Returns every array.
+    """
+    r0, _ = coverage._gauss_nodes(64, 0.0, radio.los_radius_m)
+    W, Z = coverage._wz_exponents(r0, radio, nu_r, xi, n_inner)
+    kern = coverage._kernel(r0, radio, nu_r, xi, n_inner)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coverage, "_wz_exponents", wz_exponents_ref)
+        W_ref, Z_ref = wz_exponents_ref(r0, radio, nu_r, xi, n_inner)
+        kern_ref = coverage._kernel(r0, radio, nu_r, xi, n_inner)
+    eps = np.finfo(float).eps
+    W_tol, Z_tol = wz_exponents_ref(r0, radio, nu_r, xi, n_inner,
+                                    lambda y, m: (m + 2) * eps * (y > 1.0))
+    assert np.all(np.abs(W - W_ref) <= rel * W_ref + W_tol)
+    assert np.all(np.abs(Z - Z_ref) <= rel * Z_ref + Z_tol)
+    # each term C(m, j) exp(-E_j) of the alternating sum moves by at most its
+    # size times the change in E_j; leaving out the noise term only enlarges it
+    m_l = radio.nakagami_los
+    coef = np.array([math.comb(m_l, j) for j in range(1, m_l + 1)])[:, None]
+    exponent = W_ref + Z_ref
+    bound = coef * np.exp(-exponent) * (rel * (1.0 + exponent) + W_tol + Z_tol)
+    assert np.all(np.abs(kern - kern_ref) <= bound.sum(axis=0))
+    return W, Z, kern, W_ref, Z_ref, kern_ref
+
+
+class TestIntegerShapeKernel:
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(m_l=st.integers(1, 6), m_n=st.integers(1, 6),
+           a_l=st.floats(2.0, 4.0), a_n=st.floats(2.1, 6.0),
+           xi_db=st.floats(-30.0, 40.0),
+           nu_r=st.one_of(st.just(0.0), st.floats(1e-6, 1e-2)),
+           n_inner=st.integers(64, 512))
+    def test_matches_power_form(self, radio, m_l, m_n, a_l, a_n, xi_db, nu_r, n_inner):
+        radio = replace(radio, nakagami_los=m_l, nakagami_nlos=m_n,
+                        pathloss_exp_los=a_l, pathloss_exp_nlos=a_n)
+        assert_kernel_matches_power_form(radio, nu_r, db_to_linear(xi_db), n_inner)
+
+    def test_overflowing_fades_are_finite(self, radio, deploy):
+        # at the innermost LoS node y = 1 + c u is so large that y**10
+        # overflows: 1 / inf = 0 is the true limit of the fade
+        radio = replace(radio, nakagami_los=10, nakagami_nlos=10, pathloss_exp_los=4.0)
+        xi = db_to_linear(40.0)
+        r0, _ = coverage._gauss_nodes(64, 0.0, radio.los_radius_m)
+        x, _ = coverage._gauss_nodes(4096, 0.0, radio.los_radius_m)
+        y_max = radio.alzer_los * xi * (r0[-1] / x[0]) ** 4.0
+        assert 10 * math.log10(y_max) > math.log10(np.finfo(float).max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = assert_kernel_matches_power_form(
+                radio, deploy.requester_intensity_per_m2, xi, 4096)
+        assert all(np.all(np.isfinite(a)) for a in got)
+
+
 class TestSuccessProbability:
     @pytest.mark.parametrize("rl,xi", sorted(RANDOM_ANCHORS))
     def test_random_anchors(self, radio, deploy, rl, xi):
@@ -180,6 +288,20 @@ class TestSuccessProbability:
             success_probability(q)
 
 
+def rank_density_ref(k, r, v, rl):
+    """The rank-k density of :func:`ordered_distance_pdf` for one rank at a
+    time, in log space: the reference for the rank-block evaluation."""
+    if v == 0.0:
+        return np.zeros_like(r)
+    cdf = r ** 2 / rl ** 2
+    with np.errstate(divide="ignore"):
+        log_pdf = np.where(r > 0, np.log(2.0 * r / rl ** 2), -np.inf)
+        log_cdf = np.where(cdf > 0, np.log(cdf), -np.inf)
+    log_fk = (k * math.log(v) - v - math.lgamma(k) + log_pdf
+              + (k - 1) * log_cdf - v * (cdf - 1.0))
+    return np.where(np.isfinite(log_fk), np.exp(log_fk), 0.0)
+
+
 class TestOrderedDistance:
     def test_zero_at_origin_for_higher_ranks(self, deploy):
         assert ordered_distance_pdf(2, 0.0, deploy, 100.0) == 0.0
@@ -221,6 +343,20 @@ class TestOrderedDistance:
     def test_rejects_bad_rank(self, deploy):
         with pytest.raises(ParameterError):
             ordered_distance_pdf(0, 10.0, deploy, 100.0)
+
+    @pytest.mark.parametrize("nodes", [64, 128, 256, 512])
+    @pytest.mark.parametrize("worker_intensity", [7e-4, 2e-5, 0.0])  # table1, V < 1, V = 0
+    def test_rank_block_matches_per_rank_densities(self, nodes, worker_intensity):
+        deploy = DeploymentParams(worker_intensity, 1e-4)
+        rl = 100.0
+        r0, _ = coverage._gauss_nodes(nodes, 0.0, rl)
+        ranks = tuple(range(1, 61))
+        table = ServingDensity(deploy, ranks)._weights(r0, rl)
+        assert np.array_equal(table, np.stack([ordered_distance_pdf(k, r0, deploy, rl)
+                                               for k in ranks]))
+        # the same bits as the density evaluated one rank at a time
+        v = deploy.mean_los_workers(rl)
+        assert np.array_equal(table, np.stack([rank_density_ref(k, r0, v, rl) for k in ranks]))
 
 
 def rank_mass(k, deploy, rl=100.0, nodes=800):
