@@ -18,19 +18,22 @@ the next allocation from (f, c) uses ``offload_rates[c]``, so a replacement
 after a failure re-uses the vacated slot's rate rather than a fresh rank.
 
 With g = n - f segments left, the states (f, c, u), c = 0..g, form block
-(g, u).  :meth:`_Lanes.block` is the one enumeration of the rules: it
-returns a block's rate vectors over c (failure, allocation, completion,
-FAIL), and the solver here and the trajectory simulator both read it.
+(g, u).  :meth:`_Lanes.rows` is the one enumeration of the rules: it
+returns the rate tables over c (failure, allocation, completion, FAIL) of a
+failure count u, :meth:`_Lanes.block` cuts block (g, u) from them, and the
+solvers here and the trajectory simulator all read them.
 
-Neither f nor u ever decreases, so :func:`solve_chains` solves the blocks
-for g = 1, 2, ... and, inside a level, from u = budget down to 0.  Inside a
-block the only moves are allocation c -> c+1 and, with unlimited spares,
-failure c -> c-1; every other move leads to a block already solved or to
-absorption.  Each block is one tridiagonal system in c, solved by a Thomas
-sweep whose two right-hand sides give the mean time to absorption and the
-probability of absorbing at (n, 0).  The sweep is vectorized over every
-model of one spare budget; a model reads the blocks with g <= n.  The cost
-is O(n^2 (budget + 1)) vector operations and no matrix is formed.
+Neither f nor u ever decreases, and the mean time to absorption and the
+probability of absorbing at (n, 0) solve one linear system each, so
+:func:`solve_chains` solves both together, vectorized over every model of a
+group and with no matrix formed.  Without failure moves inside a level (a
+finite spare budget, or no failures), state (g, u, c) reads only
+(g, u, c+1), (g-1, u, c-1) and (g, u+1, c-1), which all lie on the
+hyperplane tau - 1 of tau = 2g - c + 2(budget - u).  The solver steps tau
+from 1 to 2n + 2 budget and solves each hyperplane in one vector step.
+With unlimited spares and failures, a failure c -> c-1 stays inside the
+level, so each level g is a true tridiagonal system in c; those models
+take a Thomas sweep over c, level by level, at O(n^2) vector operations.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .params import require_int, require_spare_budget
+from .params import MAX_GRID_POINTS, require_int, require_spare_budget
 
 __all__ = [
     "FAIL",
@@ -117,13 +120,21 @@ def build_failure_chain(n: int, lambda_list, mu_f: float, l: float,
 
     Each computing worker fails at rate mu_f / (l * n); its segment returns
     to the unallocated pool.  With ``spare_budget=None`` replacements are
-    unlimited; with a finite budget, exceeding it absorbs into FAIL.
+    unlimited; with a finite budget, exceeding it absorbs into FAIL.  A
+    budget that gives the chain more than ``MAX_GRID_POINTS`` states is
+    rejected before anything is allocated.
     """
     _check_n_mu(n, mu_f)
     _validate_rates(lambda_list, n)
     if not (l > 0 and math.isfinite(l)):
         raise ParameterError("reliability parameter l must be positive and finite")
     require_spare_budget(spare_budget)
+    if spare_budget is not None:
+        states = (n + 1) * (n + 2) // 2 * (spare_budget + 1)
+        if states > MAX_GRID_POINTS:
+            raise ParameterError(
+                f"spare_budget {spare_budget} at n = {n} gives {states} chain states, "
+                f"more than {MAX_GRID_POINTS}")
     return _model(n, lambda_list, mu_f, mu_f / (l * n), spare_budget)
 
 
@@ -152,6 +163,25 @@ class _Lanes:
         """Number of lanes with at least g segments: a prefix of the lanes."""
         return int(np.count_nonzero(self.n >= g))
 
+    def rows(self, u: int):
+        """Rate tables (failure, allocation, completion, FAIL) of failure
+        count u over c = 0..n_max, for every lane.
+
+        Each has shape (n_max + 1, lanes), row c, and is zero where the move
+        does not exist.  Allocation from row c is at ``offload_rates[c]`` in
+        every level g; :meth:`block` zeroes it at c = g, where nothing is
+        left to allocate.
+        """
+        c = np.arange(self.n[0] + 1.0)[:, None]
+        alloc = np.zeros((c.size, self.n.size))
+        alloc[:-1] = self.rates.T
+        complete = c * self.exec_rate
+        failure = c * self.failure_rate
+        none = np.zeros_like(failure)
+        if self.budget is not None and u == self.budget:
+            return none, alloc, complete, failure
+        return failure, alloc, complete, none
+
     def block(self, g: int, u: int):
         """Rate vectors (failure, allocation, completion, FAIL) of block (g, u).
 
@@ -161,86 +191,142 @@ class _Lanes:
         stay fixed.
         """
         k = self.active(g)
-        c = np.arange(g + 1.0)[:, None]
-        alloc = np.zeros((g + 1, k))
-        alloc[:g] = self.rates[:k, :g].T
-        complete = c * self.exec_rate[:k]
-        failure = c * self.failure_rate[:k]
-        none = np.zeros_like(failure)
-        if self.budget is not None and u == self.budget:
-            return none, alloc, complete, failure
-        return failure, alloc, complete, none
+        failure, alloc, complete, to_fail = (v[:g + 1, :k] for v in self.rows(u))
+        alloc[g] = 0.0
+        return failure, alloc, complete, to_fail
 
 
-def _sweep(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
+def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
     """Mean time to absorption and probability of absorbing at (n, 0) from
-    the start state (0, 0, 0), per lane."""
+    the start state (0, 0, 0), per lane, for lanes whose failures never stay
+    in a level: a finite spare budget, or no failures at all.
+
+    State (g, u, c) then reads only (g, u, c+1), (g-1, u, c-1) and
+    (g, u+1, c-1), which all lie on the hyperplane tau - 1 of
+    tau = 2g - c + 2(top - u), so step tau solves its whole hyperplane at
+    once (Lamport's hyperplane method).
+    """
     top = 0 if lanes.budget is None else lanes.budget
-    time = np.empty(lanes.n.size)
-    success = np.empty(lanes.n.size)
+    n_max, width = int(lanes.n[0]), lanes.n.size
+    # (failure, allocation, completion, denominator) at row
+    # (2 [u == top] + [c < g]) (n_max + 1) + c: allocation is zero at c = g
+    tables = []
+    for u in (0, top):
+        failure, alloc, complete, to_fail = lanes.rows(u)
+        for up in (np.zeros_like(alloc), alloc):
+            tables.append(np.stack([failure, up, complete,
+                                    up + (failure + complete + to_fail)]))
+    tables = np.concatenate(tables, axis=1)
+    u_all, g_all = np.arange(top + 1)[:, None], np.arange(n_max + 1)
+    level = 2 * (g_all + top - u_all)
+    at_top = 2 * (n_max + 1) * (u_all == top)
+    # x[tau % 2, :, u, g, lane] holds (time, success) of the state of
+    # hyperplane tau in block (g, u); c is implied by tau.  Column g = 0 is
+    # where completion from g = 1 is absorbed, at success; row u = top + 1 is
+    # zeros, read only by the zero failure rate at the budget.  Any other
+    # entry a state reads off its hyperplane is stale but finite, and a
+    # structural zero rate multiplies it to exactly 0: allocation at c = g,
+    # completion and failure at c = 0.
+    x = np.zeros((2, 2, top + 2, n_max + 1, width))
+    x[:, 1, :top + 1, 0] = 1.0
+    # adds 1 to the time and nothing to the success right-hand side
+    one = np.array([1.0, 0.0])[:, None, None, None]
+    for tau in range(1, 2 * (n_max + top) + 1):
+        # the window of blocks holding every state with 0 <= c <= g
+        half = -(-tau // 2)
+        u_lo, u_hi = max(0, top - (tau - 1) // 2), min(top, top + n_max - half)
+        g_lo, g_hi = max(1, half - top), min(n_max, tau)
+        k = lanes.active(g_lo)
+        us, gs = slice(u_lo, u_hi + 1), slice(g_lo, g_hi + 1)
+        c = level[us, gs] - tau
+        # a block with no state on this hyperplane reads a clipped row c: its
+        # entry is stale, but its denominator is a positive rate
+        clipped = np.minimum(np.maximum(c, 0), n_max)
+        rows = at_top[us] + (n_max + 1) * (c < g_all[gs]) + clipped
+        failure, alloc, complete, denom = tables[:, rows, :k]
+        prev, cur = x[(tau - 1) % 2], x[tau % 2]
+        # where the moves land: allocation, completion, failure
+        after = prev[:, us, gs, :k]
+        done = prev[:, us, g_lo - 1:g_hi, :k]
+        failed = prev[:, u_lo + 1:u_hi + 2, gs, :k]
+        # the Thomas sweep's arithmetic with no in-level move, in its order
+        rhs = one + failure * failed + complete * done
+        cur[:, us, gs, :k] = (rhs + alloc * after) / denom
+    # a lane's start state (n, 0, 0) lies on hyperplane 2(n + top), even
+    time, success = x[0][:, 0, lanes.n, np.arange(width)]
+    return time, success
+
+
+def _thomas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean time to absorption and probability of absorbing at (n, 0) from
+    the start state (0, 0, 0), per lane, for unlimited-spare lanes with
+    failures: a failure c -> c-1 stays in the level, so each level g is one
+    tridiagonal system in c, solved by a Thomas sweep.
+
+    Row c reads  q x[c] - down x[c-1] - up x[c+1] = rhs[c],
+    q = up + down + complete;  eliminating x[c-1] leaves
+    denom x[c] - up x[c+1] = rhs'[c].  h is the share of denom[c] not owed
+    to up, so denom = up + complete + down h[c-1] is a sum of rates, never a
+    difference that could cancel.  The rates of row c < g are the same in
+    every level, so the elimination runs once over c = 0..n_max and every
+    level reads its denominators; at row c = g, which cannot allocate, the
+    denominator is ``leave`` alone.
+    """
+    down, up, complete, _ = lanes.rows(0)
+    leave, denom = np.empty((2,) + up.shape)
+    h = np.zeros(lanes.n.size)
+    for c in range(up.shape[0]):
+        leave[c] = complete[c] + down[c] * h
+        denom[c] = up[c] + leave[c]
+        h = leave[c] / denom[c]
+    time, success = np.empty((2, lanes.n.size))
     for g in range(1, int(lanes.n[0]) + 1):
         k = lanes.active(g)
-        cur_t = np.zeros((top + 1, g + 1, k))
-        cur_s = np.zeros((top + 1, g + 1, k))
-        for u in range(top, -1, -1):
-            failure, alloc, complete, to_fail = lanes.block(g, u)
-            if lanes.budget is None:
-                down, failure = failure, np.zeros_like(failure)
-            else:
-                down = np.zeros_like(failure)
-            # values where the moves out of the block land, in the row c
-            # they leave from; completion from level g = 1 is absorbed
-            t_done, s_done, t_fail, s_fail = np.zeros((4, g + 1, k))
-            if g == 1:
-                s_done[1:] = 1.0
-            else:
-                t_done[1:], s_done[1:] = prev_t[u, :, :k], prev_s[u, :, :k]
-            if u < top:
-                t_fail[1:], s_fail[1:] = cur_t[u + 1, :g], cur_s[u + 1, :g]
-            rhs_t = 1.0 + failure * t_fail + complete * t_done
-            rhs_s = failure * s_fail + complete * s_done
-            out = failure + complete + to_fail
-            # Thomas sweep over c.  Row c reads
-            #   q x[c] - down x[c-1] - up x[c+1] = rhs[c],  q = up + down + out;
-            # eliminating x[c-1] leaves denom x[c] - up x[c+1] = rhs'[c].
-            # h is the share of denom[c] not owed to up, so
-            # denom = up + out + down h[c-1] is a sum of rates, never a
-            # difference that could cancel.
-            denom = np.empty((g + 1, k))
-            h = y = z = np.zeros(k)
-            for c in range(g + 1):
-                leave = out[c] + down[c] * h
-                denom[c] = alloc[c] + leave
-                rhs_t[c] += down[c] * y
-                rhs_s[c] += down[c] * z
-                h, y, z = leave / denom[c], rhs_t[c] / denom[c], rhs_s[c] / denom[c]
-            t = s = np.zeros(k)
-            for c in range(g, -1, -1):
-                t = cur_t[u, c] = (rhs_t[c] + alloc[c] * t) / denom[c]
-                s = cur_s[u, c] = (rhs_s[c] + alloc[c] * s) / denom[c]
+        level = denom[:g + 1, :k].copy()
+        level[g] = leave[g, :k]
+        # (time, success) where completion lands, in the row c it leaves
+        # from; completion from level g = 1 is absorbed, at success
+        done = np.zeros((g + 1, 2, k))
+        if g == 1:
+            done[1:, 1] = 1.0
+        else:
+            done[1:] = solved[:, :, :k]
+        rhs = complete[:g + 1, None, :k] * done
+        rhs[:, 0] += 1.0
+        y = np.zeros((2, k))
+        for c in range(g + 1):
+            rhs[c] += down[c, :k] * y
+            y = rhs[c] / level[c]
+        solved = np.empty((g + 1, 2, k))
+        x = np.zeros((2, k))
+        for c in range(g, -1, -1):
+            x = solved[c] = (rhs[c] + up[c, :k] * x) / level[c]
         ending = slice(lanes.active(g + 1), k)
-        time[ending] = cur_t[0, 0, ending]
-        success[ending] = cur_s[0, 0, ending]
-        prev_t, prev_s = cur_t, cur_s
+        time[ending], success[ending] = solved[0, :, ending]
     return time, success
 
 
 def solve_chains(models) -> tuple[list[float], list[float]]:
     """Mean absorption time and completion probability of every model.
 
-    One backward sweep per spare budget present; every value is bitwise the
-    one the model gets solved alone.  The completion probability is clipped
-    to [0, 1] and is 1 up to rounding with unlimited spares.
+    Models are solved in groups of one spare budget: one wavefront solve in
+    tau order for each group whose failures never stay in a level (a finite
+    budget, or no failures), and one Thomas sweep over the levels for the
+    unlimited-spare models with failures, whose in-level failure moves make
+    each level a tridiagonal system.  Every value is bitwise the one the
+    model gets solved alone.  The completion probability is clipped to
+    [0, 1] and is 1 up to rounding with unlimited spares.
     """
     models = list(models)
     times = [0.0] * len(models)
     completions = [0.0] * len(models)
     groups: dict = {}
     for i, model in enumerate(models):
-        groups.setdefault(model.spare_budget, []).append(i)
-    for members in groups.values():
+        in_level = model.spare_budget is None and model.failure_rate_per_worker > 0.0
+        groups.setdefault((model.spare_budget, in_level), []).append(i)
+    for (_, in_level), members in groups.items():
         lanes = _Lanes([models[i] for i in members])
-        time, success = _sweep(lanes)
+        time, success = (_thomas if in_level else _wavefront)(lanes)
         for lane, j in enumerate(lanes.order):
             times[members[j]] = float(time[lane])
             completions[members[j]] = min(max(float(success[lane]), 0.0), 1.0)

@@ -18,6 +18,7 @@ from eecsim.chain import (
 )
 from eecsim.errors import ParameterError
 from eecsim.montecarlo import _JumpTables
+from eecsim.params import MAX_GRID_POINTS
 
 
 def closed_form_completion(n, l):
@@ -63,6 +64,75 @@ def dense_oracle(model):
     time = np.linalg.solve(A, 1.0 / exit_rates)
     success = np.linalg.solve(A, into_success / exit_rates)
     return time[0], success[0]
+
+
+def thomas_sweep_ref(lanes):
+    """Mean time to absorption and probability of absorbing at (n, 0) from
+    (0, 0, 0), per lane of one spare budget, block by block: every block
+    (g, u) for g = 1, 2, ... and, inside a level, u from the budget down, by
+    a Thomas sweep over c whose two right-hand sides give the time and the
+    success probability.  ``solve_chains`` visits the states in another
+    order with the same arithmetic per state, so the two match bit for bit."""
+    top = 0 if lanes.budget is None else lanes.budget
+    time = np.empty(lanes.n.size)
+    success = np.empty(lanes.n.size)
+    for g in range(1, int(lanes.n[0]) + 1):
+        k = lanes.active(g)
+        cur_t = np.zeros((top + 1, g + 1, k))
+        cur_s = np.zeros((top + 1, g + 1, k))
+        for u in range(top, -1, -1):
+            failure, alloc, complete, to_fail = lanes.block(g, u)
+            if lanes.budget is None:
+                down, failure = failure, np.zeros_like(failure)
+            else:
+                down = np.zeros_like(failure)
+            # values where the moves out of the block land, in the row c
+            # they leave from; completion from level g = 1 is absorbed
+            t_done, s_done, t_fail, s_fail = np.zeros((4, g + 1, k))
+            if g == 1:
+                s_done[1:] = 1.0
+            else:
+                t_done[1:], s_done[1:] = prev_t[u, :, :k], prev_s[u, :, :k]
+            if u < top:
+                t_fail[1:], s_fail[1:] = cur_t[u + 1, :g], cur_s[u + 1, :g]
+            rhs_t = 1.0 + failure * t_fail + complete * t_done
+            rhs_s = failure * s_fail + complete * s_done
+            out = failure + complete + to_fail
+            # row c reads q x[c] - down x[c-1] - up x[c+1] = rhs[c]
+            denom = np.empty((g + 1, k))
+            h = y = z = np.zeros(k)
+            for c in range(g + 1):
+                leave = out[c] + down[c] * h
+                denom[c] = alloc[c] + leave
+                rhs_t[c] += down[c] * y
+                rhs_s[c] += down[c] * z
+                h, y, z = leave / denom[c], rhs_t[c] / denom[c], rhs_s[c] / denom[c]
+            t = s = np.zeros(k)
+            for c in range(g, -1, -1):
+                t = cur_t[u, c] = (rhs_t[c] + alloc[c] * t) / denom[c]
+                s = cur_s[u, c] = (rhs_s[c] + alloc[c] * s) / denom[c]
+        ending = slice(lanes.active(g + 1), k)
+        time[ending] = cur_t[0, 0, ending]
+        success[ending] = cur_s[0, 0, ending]
+        prev_t, prev_s = cur_t, cur_s
+    return time, success
+
+
+def reference_solve(models):
+    """``solve_chains`` by :func:`thomas_sweep_ref`: one sweep per spare
+    budget, completion probabilities clipped to [0, 1]."""
+    times = [0.0] * len(models)
+    completions = [0.0] * len(models)
+    groups = {}
+    for i, model in enumerate(models):
+        groups.setdefault(model.spare_budget, []).append(i)
+    for members in groups.values():
+        lanes = _Lanes([models[i] for i in members])
+        time, success = thomas_sweep_ref(lanes)
+        for lane, j in enumerate(lanes.order):
+            times[members[j]] = float(time[lane])
+            completions[members[j]] = min(max(float(success[lane]), 0.0), 1.0)
+    return times, completions
 
 
 def block(model, g, u=0):
@@ -351,11 +421,11 @@ class TestCompletionProbability:
 
 
 @st.composite
-def chains(draw):
+def chains(draw, n_max=12):
     """Chain parameters across the model's range: rates over five decades,
     reliability l from 0.1 to 100 or no failures at all (l = None),
     unlimited or finite spare budgets."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, n_max))
     decades = st.floats(-3.0, 2.0)
     rates = [10.0 ** draw(decades) for _ in range(n)]
     mu_f = 10.0 ** draw(decades)
@@ -398,6 +468,53 @@ class TestAgainstDenseOracle:
 
     def test_empty_batch(self):
         assert solve_chains([]) == ([], [])
+
+
+def ranked_rates(n):
+    """Offloading rates falling with rank, as the rank success
+    probabilities over the slot time do."""
+    return [0.9 * 0.95 ** k for k in range(n)]
+
+
+class TestAgainstThomasReference:
+    """``solve_chains`` against the block-by-block Thomas sweep: equal
+    bitwise (==), not to a tolerance."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.lists(chains(n_max=40), min_size=1, max_size=8))
+    def test_mixed_batches(self, batch):
+        # every solver group in one call: no failures, unlimited spares with
+        # failures, and spare budgets 0 to 10
+        models = [chain(*params) for params in batch]
+        assert solve_chains(models) == reference_solve(models)
+
+    def test_delay_variants(self):
+        # random, ordered and ordered+failure (unlimited spares), n = 1..50
+        mu_f, l = 0.02, 3.0
+        models = [m for n in range(1, 51) for m in (
+            build_baseline(n, 0.6, mu_f),
+            build_level_dependent(n, ranked_rates(n), mu_f),
+            build_failure_chain(n, ranked_rates(n), mu_f, l))]
+        assert solve_chains(models) == reference_solve(models)
+
+    @pytest.mark.parametrize("budget", [0, 2, 4])
+    def test_spare_budgets(self, budget):
+        models = [build_failure_chain(n, ranked_rates(n), 0.02, l, spare_budget=budget)
+                  for n in range(1, 23) for l in (0.8, 3.0, 7.5)]
+        assert solve_chains(models) == reference_solve(models)
+
+
+class TestHugeSpareBudget:
+    def test_rejected_before_any_solve(self):
+        with pytest.raises(ParameterError, match="spare_budget"):
+            build_failure_chain(22, [1.0] * 22, 0.02, 1.0, spare_budget=10 ** 9)
+
+    def test_limit_counts_every_state(self):
+        # n = 1 has 3 (f, c) pairs, each at budget + 1 failure counts
+        largest = MAX_GRID_POINTS // 3 - 1
+        build_failure_chain(1, [1.0], 0.02, 1.0, spare_budget=largest)
+        with pytest.raises(ParameterError):
+            build_failure_chain(1, [1.0], 0.02, 1.0, spare_budget=largest + 1)
 
 
 class TestWorkerIdle:

@@ -190,6 +190,13 @@ class TestCompletionCommand:
             n = int(row[col_n])
             assert float(row[col_p]) == pytest.approx(want[n], abs=1e-12)
 
+    def test_huge_spare_budget_is_a_typed_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"reliability": {"spare_budget": 10 ** 9}}))
+        assert main(["completion", "--config", str(cfg),
+                     "--out", str(tmp_path / "comp.csv")]) == 2
+        assert "spare_budget" in capsys.readouterr().err
+
 
 class TestContourCommand:
     def test_single_cell(self, tmp_path):
