@@ -24,7 +24,6 @@ from .collab import (
     bias_sweep,
     congested_worker_intensity,
     mec_delay,
-    optimal_bias,
 )
 from .config import ScenarioConfig, config_hash, load_config, preset, resolve_config
 from .coverage import (

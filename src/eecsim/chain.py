@@ -18,10 +18,10 @@ the next allocation from (f, c) uses ``offload_rates[c]``, so a replacement
 after a failure re-uses the vacated slot's rate rather than a fresh rank.
 
 With g = n - f segments left, the states (f, c, u), c = 0..g, form block
-(g, u).  :meth:`_Lanes.rows` is the one enumeration of the rules: it
-returns the rate tables over c (failure, allocation, completion, FAIL) of a
-failure count u, :meth:`_Lanes.block` cuts block (g, u) from them, and the
-solvers here and the trajectory simulator all read them.
+(g, u).  :attr:`_Lanes.table` states the rules once, as one array of rates
+``table[move, at_budget, can_allocate, c, lane]`` over the moves (failure,
+allocation, completion, FAIL, exit-rate denominator); a move that does not
+exist has rate 0.  The solvers here and the trajectory simulator all read it.
 
 Neither f nor u ever decreases, and the mean time to absorption and the
 probability of absorbing at (n, 0) solve one linear system each, so
@@ -47,7 +47,6 @@ from .errors import ParameterError
 from .params import MAX_GRID_POINTS, require_int, require_spare_budget
 
 __all__ = [
-    "FAIL",
     "ChainModel",
     "build_baseline",
     "build_level_dependent",
@@ -57,10 +56,6 @@ __all__ = [
     "completion_probability",
     "worker_idle_probability",
 ]
-
-# sentinel label for the budget-exhausted absorbing state
-FAIL = "FAIL"
-
 
 @dataclass(frozen=True)
 class ChainModel:
@@ -146,54 +141,39 @@ def _check_n_mu(n, mu_f):
 
 class _Lanes:
     """Models of one spare budget as numpy lanes, sorted by n, largest first;
-    ``order[lane]`` is the lane's index in the list given."""
+    ``order[lane]`` is the lane's index in the list given.
+
+    ``table[move, at_budget, can_allocate, c, lane]`` is the rate of a move
+    (failure, allocation, completion, FAIL, exit-rate denominator) from row
+    c = 0..n_max, and 0 where the move does not exist.  ``at_budget`` is
+    [u == budget], where a failure is fatal; with no budget both halves
+    agree.  ``can_allocate`` is [c < g]: allocation from row c is at
+    ``offload_rates[c]`` in every level g, and nothing is left to allocate
+    at c = g.  The denominator is allocation + (failure + completion + FAIL).
+    """
 
     def __init__(self, models):
         self.order = sorted(range(len(models)), key=lambda i: -models[i].n)
         ordered = [models[i] for i in self.order]
         self.budget = ordered[0].spare_budget
         self.n = np.array([m.n for m in ordered])
-        self.rates = np.zeros((len(ordered), ordered[0].n))
+        c = np.arange(self.n[0] + 1.0)[:, None]
+        alloc = np.zeros((c.size, len(ordered)))
         for lane, m in enumerate(ordered):
-            self.rates[lane, :m.n] = m.offload_rates
-        self.exec_rate = np.array([m.segment_exec_rate for m in ordered])
-        self.failure_rate = np.array([m.failure_rate_per_worker for m in ordered])
+            alloc[:m.n, lane] = m.offload_rates
+        complete = c * np.array([m.segment_exec_rate for m in ordered])
+        failure = c * np.array([m.failure_rate_per_worker for m in ordered])
+        none = np.zeros_like(failure)
+        fatal = (failure, none) if self.budget is None else (none, failure)
+        self.table = np.empty((5, 2, 2) + failure.shape)
+        for at_budget, (down, to_fail) in enumerate([(failure, none), fatal]):
+            for can_allocate, up in enumerate((none, alloc)):
+                self.table[:, at_budget, can_allocate] = (
+                    down, up, complete, to_fail, up + (down + complete + to_fail))
 
     def active(self, g: int) -> int:
         """Number of lanes with at least g segments: a prefix of the lanes."""
         return int(np.count_nonzero(self.n >= g))
-
-    def rows(self, u: int):
-        """Rate tables (failure, allocation, completion, FAIL) of failure
-        count u over c = 0..n_max, for every lane.
-
-        Each has shape (n_max + 1, lanes), row c, and is zero where the move
-        does not exist.  Allocation from row c is at ``offload_rates[c]`` in
-        every level g; :meth:`block` zeroes it at c = g, where nothing is
-        left to allocate.
-        """
-        c = np.arange(self.n[0] + 1.0)[:, None]
-        alloc = np.zeros((c.size, self.n.size))
-        alloc[:-1] = self.rates.T
-        complete = c * self.exec_rate
-        failure = c * self.failure_rate
-        none = np.zeros_like(failure)
-        if self.budget is not None and u == self.budget:
-            return none, alloc, complete, failure
-        return failure, alloc, complete, none
-
-    def block(self, g: int, u: int):
-        """Rate vectors (failure, allocation, completion, FAIL) of block (g, u).
-
-        Each has shape (g + 1, lanes with n >= g), row c, and is zero where
-        the move does not exist.  The simulator picks a move by one uniform
-        draw against the cumulative rates in this order, so the order must
-        stay fixed.
-        """
-        k = self.active(g)
-        failure, alloc, complete, to_fail = (v[:g + 1, :k] for v in self.rows(u))
-        alloc[g] = 0.0
-        return failure, alloc, complete, to_fail
 
 
 def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
@@ -208,15 +188,8 @@ def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
     """
     top = 0 if lanes.budget is None else lanes.budget
     n_max, width = int(lanes.n[0]), lanes.n.size
-    # (failure, allocation, completion, denominator) at row
-    # (2 [u == top] + [c < g]) (n_max + 1) + c: allocation is zero at c = g
-    tables = []
-    for u in (0, top):
-        failure, alloc, complete, to_fail = lanes.rows(u)
-        for up in (np.zeros_like(alloc), alloc):
-            tables.append(np.stack([failure, up, complete,
-                                    up + (failure + complete + to_fail)]))
-    tables = np.concatenate(tables, axis=1)
+    # the rate table at row (2 [u == top] + [c < g]) (n_max + 1) + c
+    table = lanes.table.reshape(5, -1, width)
     u_all, g_all = np.arange(top + 1)[:, None], np.arange(n_max + 1)
     level = 2 * (g_all + top - u_all)
     at_top = 2 * (n_max + 1) * (u_all == top)
@@ -243,7 +216,7 @@ def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
         # entry is stale, but its denominator is a positive rate
         clipped = np.minimum(np.maximum(c, 0), n_max)
         rows = at_top[us] + (n_max + 1) * (c < g_all[gs]) + clipped
-        failure, alloc, complete, denom = tables[:, rows, :k]
+        failure, alloc, complete, _, denom = table[:, rows, :k]
         prev, cur = x[(tau - 1) % 2], x[tau % 2]
         # where the moves land: allocation, completion, failure
         after = prev[:, us, gs, :k]
@@ -272,7 +245,7 @@ def _thomas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
     level reads its denominators; at row c = g, which cannot allocate, the
     denominator is ``leave`` alone.
     """
-    down, up, complete, _ = lanes.rows(0)
+    down, up, complete, _, _ = lanes.table[:, 0, 1]
     leave, denom = np.empty((2,) + up.shape)
     h = np.zeros(lanes.n.size)
     for c in range(up.shape[0]):

@@ -61,6 +61,8 @@ def _parse_grid(text: str) -> list[float]:
             raise ConfigError(f"grid {text!r} needs a finite start, stop and step")
         if step <= 0:
             raise ConfigError("grid step must be positive")
+        if stop < start:
+            raise ConfigError(f"grid {text!r} has its stop below its start")
         # a finite start, stop and step can still overflow the point count
         if not (stop - start) / step < MAX_GRID_POINTS:
             raise ConfigError(f"grid {text!r} has more than {MAX_GRID_POINTS} points")

@@ -29,7 +29,6 @@ __all__ = [
     "congested_worker_intensity",
     "mec_delay",
     "bias_sweep",
-    "optimal_bias",
     "alpha_grid",
     "best_segmentation",
 ]
@@ -199,10 +198,3 @@ def bias_sweep(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskP
         ))
     return points
 
-
-def optimal_bias(grid_step: float, radio: RadioParams, deploy: DeploymentParams,
-                 task: TaskParams, mec: MecParams, n_max: int = 50) -> BiasPoint:
-    """Grid argmin of the blended objective; ties go to the smaller alpha."""
-    # min() keeps the first of equal values, the smallest alpha on the grid
-    return min(bias_sweep(alpha_grid(grid_step), radio, deploy, task, mec, n_max=n_max),
-               key=lambda p: p.tau_alpha_s)

@@ -22,11 +22,10 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .chain import FAIL, ChainModel, _Lanes
+from .chain import ChainModel, _Lanes
 from .coverage import CoverageQuery, RandomSelection, RankedSelection
 from .errors import ParameterError
 from .params import DeploymentParams, RadioParams, directivity_distribution, require_int
@@ -249,43 +248,44 @@ class DelayEstimate:
 class _JumpTables:
     """Jump structure of a chain as padded arrays for trajectory sampling.
 
-    States get integer ids (``ids`` maps state to id), the start state
-    (0, 0, 0) first.  Row i holds state i's exit rate and, over its at most
-    three moves in the order of its block's rate vectors
-    (:meth:`~eecsim.chain._Lanes.block`), the cumulative jump probabilities
-    and targets, padded with 1 and -1.  Absorbing rows have rate 0.
+    The states (f, c, u) with f + c <= n are numbered in lexicographic
+    order, so the start state (0, 0, 0) is 0, and a finite budget's FAIL
+    state comes last.  Row i holds state i's exit rate and, over its at
+    most three moves of positive rate in the order of the chain's rate
+    table (:attr:`~eecsim.chain._Lanes.table`: failure, allocation,
+    completion, FAIL), the cumulative jump probabilities and targets,
+    padded with 1 and -1.  Absorbing rows have rate 0.
     """
 
     def __init__(self, model: ChainModel):
         n, budget = model.n, model.spare_budget
-        levels = range(1 if budget is None else budget + 1)
-        states = [(f, c, u) for f in range(n + 1) for c in range(n - f + 1) for u in levels]
-        self.ids = ids = {state: i for i, state in
-                          enumerate(states + ([] if budget is None else [FAIL]))}
-        self.rate = np.zeros(len(ids))
-        self.cum = np.ones((len(ids), 3))
-        self.targets = np.full((len(ids), 3), -1)
-        self.success = np.zeros(len(ids), dtype=bool)
-        self.success[[ids[n, 0, u] for u in levels]] = True
-        lanes = _Lanes([model])
-        for g in range(1, n + 1):
-            f = n - g
-            for u in levels:
-                vectors = [v[:, 0].tolist() for v in lanes.block(g, u)]
-                for c in range(g + 1):
-                    lands = ((f, c - 1, u if budget is None else u + 1),
-                             (f, c + 1, u), (f + 1, c - 1, u), FAIL)
-                    moves = [(v[c], ids[target]) for v, target in zip(vectors, lands)
-                             if v[c] > 0.0]
-                    # accumulate() adds left to right; builtin sum() compensates
-                    # on Python >= 3.12, which would move the exit rate by an ulp
-                    rate = list(accumulate(r for r, _ in moves))[-1]
-                    cum = list(accumulate(r / rate for r, _ in moves))
-                    cum[-1] = 1.0
-                    i = ids[f, c, u]
-                    self.rate[i] = rate
-                    self.cum[i, :len(cum)] = cum
-                    self.targets[i, :len(moves)] = [j for _, j in moves]
+        levels = 1 if budget is None else budget + 1
+        span = np.arange(n + 1)
+        f, c = np.nonzero(span[:, None] + span <= n)
+        f, c = f.repeat(levels), c.repeat(levels)
+        u = np.tile(np.arange(levels), f.size // levels)
+        state = np.arange(f.size)
+        size = f.size + (budget is not None)
+        self.rate = np.zeros(size)
+        self.cum = np.ones((size, 3))
+        self.targets = np.full((size, 3), -1)
+        self.success = np.zeros(size, dtype=bool)
+        self.success[:f.size] = f == n
+        # (failure, allocation, completion, FAIL) of every state, and where
+        # each lands: (f, c-1, u or u+1), (f, c+1, u), (f+1, c-1, u), FAIL
+        moves = _Lanes([model]).table[:4, 1 * (u == levels - 1), 1 * (c < n - f), c, 0].T
+        lands = np.stack([state - levels + (budget is not None), state + levels,
+                          state + (n - f) * levels, np.full_like(state, f.size)], axis=1)
+        # the exit rate summed left to right, as the moves are listed, where
+        # a zero rate adds nothing; an absorbing row divides its zeros by 1
+        rate = self.rate[:f.size] = moves[:, 0] + moves[:, 1] + moves[:, 2] + moves[:, 3]
+        cum = np.cumsum(moves / np.where(rate > 0.0, rate, 1.0)[:, None], axis=1)
+        # the moves of positive rate first, in order; the last is forced to 1
+        live = np.argsort(moves <= 0.0, axis=1, kind="stable")[:, :3]
+        count = np.count_nonzero(moves > 0.0, axis=1)[:, None]
+        slot = np.arange(3)
+        self.cum[:f.size] = np.where(slot < count - 1, np.take_along_axis(cum, live, 1), 1.0)
+        self.targets[:f.size] = np.where(slot < count, np.take_along_axis(lands, live, 1), -1)
         # the builders reject zero rates, so every transient state has an exit
         self.absorbing = self.rate == 0.0
 

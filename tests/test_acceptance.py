@@ -24,7 +24,7 @@ from eecsim.chain import (
     worker_idle_probability,
 )
 from eecsim.cli import main
-from eecsim.collab import MecParams, mec_delay, optimal_bias
+from eecsim.collab import MecParams, alpha_grid, bias_sweep, mec_delay
 from eecsim.config import preset
 from eecsim.coverage import (
     CoverageQuery,
@@ -254,10 +254,17 @@ def test_criterion_08d_worker_scarcity_raises_delay():
           f"{results[0.25][0]:.2f}, n* {results[1.0][1]} -> {results[0.25][1]})")
 
 
+def optimal_bias(step, deploy):
+    """Grid argmin of the blended objective over n = 1..20 in the preset
+    scenario; ties go to the smaller alpha."""
+    return min(bias_sweep(alpha_grid(step), SCENARIO.radio, deploy, SCENARIO.task,
+                          SCENARIO.mec, n_max=20),
+               key=lambda p: p.tau_alpha_s)
+
+
 def test_criterion_08e_high_demand_bias():
     deploy = replace(SCENARIO.deploy, requester_intensity_per_m2=4e-4)
-    best = optimal_bias(0.1, SCENARIO.radio, deploy, SCENARIO.task, SCENARIO.mec,
-                        n_max=20)
+    best = optimal_bias(0.1, deploy)
     assert best.alpha >= 0.6, best
     print(f"\nACCEPTANCE 8e (4x nu_r): PASS (alpha* = {best.alpha})")
 
@@ -274,8 +281,7 @@ def test_criterion_08e_high_demand_bias():
            "test_collab.py, which do hold.")
 def test_criterion_08e_low_demand_bias():
     deploy = replace(SCENARIO.deploy, requester_intensity_per_m2=0.25e-4)
-    best = optimal_bias(0.1, SCENARIO.radio, deploy, SCENARIO.task, SCENARIO.mec,
-                        n_max=20)
+    best = optimal_bias(0.1, deploy)
     assert best.alpha == 0.0, best
     print(f"\nACCEPTANCE 8e (nu_r/4): PASS (alpha* = {best.alpha})")
 

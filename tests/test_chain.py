@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eecsim.chain import (
-    FAIL,
     _Lanes,
     build_baseline,
     build_failure_chain,
@@ -20,6 +19,9 @@ from eecsim.errors import ParameterError
 from eecsim.montecarlo import _JumpTables
 from eecsim.params import MAX_GRID_POINTS
 
+# label of the budget-exhausted absorbing state
+FAIL = "FAIL"
+
 
 def closed_form_completion(n, l):
     return (n * n * l / (n * n * l + 1.0)) ** n
@@ -28,7 +30,7 @@ def closed_form_completion(n, l):
 def dense_oracle(model):
     """Mean absorption time and success probability from (0, 0), by dense
     linear solves on a rate matrix Q assembled here from the rules in the
-    ``eecsim.chain`` docstring, independently of its block enumeration:
+    ``eecsim.chain`` docstring, independently of its rate table:
     -Q_TT m = 1 and -Q_TT rho = (rates into the success states)."""
     n, budget = model.n, model.spare_budget
     mu_seg, gamma = model.segment_exec_rate, model.failure_rate_per_worker
@@ -66,6 +68,16 @@ def dense_oracle(model):
     return time[0], success[0]
 
 
+def table_block(lanes, g, u):
+    """Rate vectors (failure, allocation, completion, FAIL) of block (g, u),
+    each over rows c = 0..g and the lanes with n >= g, cut from the rate
+    table: at the budget a failure is fatal, and at c = g nothing is left
+    to allocate."""
+    top = 0 if lanes.budget is None else lanes.budget
+    c = np.arange(g + 1)
+    return lanes.table[:4, int(u == top), 1 * (c < g), c, :lanes.active(g)]
+
+
 def thomas_sweep_ref(lanes):
     """Mean time to absorption and probability of absorbing at (n, 0) from
     (0, 0, 0), per lane of one spare budget, block by block: every block
@@ -81,7 +93,7 @@ def thomas_sweep_ref(lanes):
         cur_t = np.zeros((top + 1, g + 1, k))
         cur_s = np.zeros((top + 1, g + 1, k))
         for u in range(top, -1, -1):
-            failure, alloc, complete, to_fail = lanes.block(g, u)
+            failure, alloc, complete, to_fail = table_block(lanes, g, u)
             if lanes.budget is None:
                 down, failure = failure, np.zeros_like(failure)
             else:
@@ -138,24 +150,74 @@ def reference_solve(models):
 def block(model, g, u=0):
     """Block (g, u) of one model, as lists over c = 0..g:
     (failure, allocation, completion, FAIL)."""
-    return [v[:, 0].tolist() for v in _Lanes([model]).block(g, u)]
+    return [v[:, 0].tolist() for v in table_block(_Lanes([model]), g, u)]
+
+
+def state_ids(model):
+    """{state label: id} of a model's jump tables: the states (f, c, u) with
+    f + c <= n in lexicographic order, then FAIL when the budget is finite."""
+    n, budget = model.n, model.spare_budget
+    levels = range(1 if budget is None else budget + 1)
+    states = [(f, c, u) for f in range(n + 1) for c in range(n - f + 1) for u in levels]
+    return {s: i for i, s in enumerate(states + ([] if budget is None else [FAIL]))}
 
 
 def jump_row(model, state):
     """Jump probabilities {target state: p} and exit rate at one state of
     the simulator's jump tables (the embedded chain it runs on)."""
     tables = _JumpTables(model)
-    states = {i: s for s, i in tables.ids.items()}
-    i = tables.ids[state]
+    ids = state_ids(model)
+    states = {i: s for s, i in ids.items()}
+    i = ids[state]
     targets = tables.targets[i][tables.targets[i] >= 0].tolist()
     probs = np.diff([0.0] + tables.cum[i, :len(targets)].tolist())
     return ({states[j]: float(p) for j, p in zip(targets, probs)},
             float(tables.rate[i]))
 
 
-def absorbing_states(tables):
-    """The labels of the states the jump tables mark absorbing."""
-    return {s for s, i in tables.ids.items() if tables.absorbing[i]}
+def absorbing_states(model):
+    """The labels of the states the model's jump tables mark absorbing."""
+    tables = _JumpTables(model)
+    return {s for s, i in state_ids(model).items() if tables.absorbing[i]}
+
+
+def jump_tables_ref(model):
+    """The simulator's jump tables built from the rules in the
+    ``eecsim.chain`` docstring, one state at a time: each state's moves of
+    positive rate in the order failure, allocation, completion, FAIL, the
+    exit rate and cumulative probabilities summed left to right, the last
+    forced to 1, and targets numbered by :func:`state_ids`.  Returns
+    (rate, cum, targets, success, absorbing)."""
+    n, budget = model.n, model.spare_budget
+    mu_seg, gamma = model.segment_exec_rate, model.failure_rate_per_worker
+    ids = state_ids(model)
+    states = [s for s in ids if s != FAIL]
+    rate = np.zeros(len(ids))
+    cum = np.ones((len(ids), 3))
+    targets = np.full((len(ids), 3), -1)
+    for f, c, u in states:
+        fatal = budget is not None and u == budget
+        moves = [
+            (0.0 if fatal else c * gamma, (f, c - 1, u if budget is None else u + 1)),
+            (model.offload_rates[c] if f + c < n else 0.0, (f, c + 1, u)),
+            (c * mu_seg, (f + 1, c - 1, u)),
+            (c * gamma if fatal else 0.0, FAIL),
+        ]
+        moves = [(r, ids[target]) for r, target in moves if r > 0.0]
+        if not moves:
+            continue
+        i = ids[f, c, u]
+        total = running = 0.0
+        for r, _ in moves:
+            total += r
+        for k, (r, j) in enumerate(moves):
+            running += r / total
+            cum[i, k] = running
+            targets[i, k] = j
+        cum[i, len(moves) - 1] = 1.0
+        rate[i] = total
+    success = np.array([s != FAIL and s[0] == n for s in ids])
+    return rate, cum, targets, success, rate == 0.0
 
 
 class TestStateSpace:
@@ -167,9 +229,8 @@ class TestStateSpace:
         assert complete == [0.0, pytest.approx(0.02)]
         assert failure == to_fail == [0.0, 0.0]
         # (1, 0) is in no block: absorbing, without exits
-        tables = _JumpTables(model)
-        assert absorbing_states(tables) == {(1, 0, 0)}
-        assert tables.targets[tables.ids[1, 0, 0]].tolist() == [-1, -1, -1]
+        assert absorbing_states(model) == {(1, 0, 0)}
+        assert _JumpTables(model).targets[state_ids(model)[1, 0, 0]].tolist() == [-1, -1, -1]
 
     def test_exit_rate_interior_state(self):
         model = build_baseline(2, 0.9, 0.02)
@@ -241,10 +302,11 @@ class TestFailureChain:
         model = build_failure_chain(2, [1.0, 1.0], 0.02, 1.0, spare_budget=1)
         tables = _JumpTables(model)
         # 6 plain states x 2 budget levels + FAIL, all reachable from the start
-        assert len(tables.ids) == 13
-        assert FAIL in tables.ids
-        assert tables.ids[0, 0, 0] == 0
-        assert absorbing_states(tables) == {(2, 0, 0), (2, 0, 1), FAIL}
+        ids = state_ids(model)
+        assert len(ids) == tables.rate.size == 13
+        assert FAIL in ids
+        assert ids[0, 0, 0] == 0
+        assert absorbing_states(model) == {(2, 0, 0), (2, 0, 1), FAIL}
         gamma = 0.02 / 2.0
         # inside the budget a failure is counted; at the budget it is fatal
         assert block(model, 2, u=0) == [[0.0, gamma, 2 * gamma], [1.0, 1.0, 0.0],
@@ -323,7 +385,7 @@ class TestSojourn:
     def test_absorbing_sojourn_is_zero(self):
         model = build_baseline(2, 1.0, 0.02)
         tables = _JumpTables(model)
-        i = tables.ids[2, 0, 0]
+        i = state_ids(model)[2, 0, 0]
         assert tables.absorbing[i] and tables.success[i]
         assert tables.rate[i] == 0.0
 
@@ -502,6 +564,24 @@ class TestAgainstThomasReference:
         models = [build_failure_chain(n, ranked_rates(n), 0.02, l, spare_budget=budget)
                   for n in range(1, 23) for l in (0.8, 3.0, 7.5)]
         assert solve_chains(models) == reference_solve(models)
+
+
+class TestAgainstJumpReference:
+    """The simulator's jump tables against :func:`jump_tables_ref`: every
+    array equal.  The targets are ids, so equal targets also put every
+    state label at the same id."""
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(chains())
+    def test_tables_match(self, params):
+        model = chain(*params)
+        tables = _JumpTables(model)
+        rate, cum, targets, success, absorbing = jump_tables_ref(model)
+        assert np.array_equal(tables.rate, rate)
+        assert np.array_equal(tables.cum, cum)
+        assert np.array_equal(tables.targets, targets)
+        assert np.array_equal(tables.success, success)
+        assert np.array_equal(tables.absorbing, absorbing)
 
 
 class TestHugeSpareBudget:

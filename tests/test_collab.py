@@ -11,7 +11,6 @@ from eecsim.collab import (
     bias_sweep,
     congested_worker_intensity,
     mec_delay,
-    optimal_bias,
 )
 from eecsim.coverage import ServingDensity, success_table
 from eecsim.errors import ParameterError, UnservableError
@@ -21,6 +20,13 @@ from eecsim.params import DeploymentParams
 @pytest.fixture(scope="module")
 def mec(scenario):
     return scenario.mec
+
+
+def optimal_bias(step, radio, deploy, task, mec, n_max=50):
+    """Grid argmin of the blended objective; min() keeps the first of equal
+    values, so ties go to the smaller alpha."""
+    return min(bias_sweep(alpha_grid(step), radio, deploy, task, mec, n_max=n_max),
+               key=lambda p: p.tau_alpha_s)
 
 
 class TestCongestedIntensity:

@@ -451,9 +451,12 @@ class TestCliErrors:
                                       ["coverage", "--xi=0:1e300:1e-300"],
                                       ["coverage", "--xi=0:1e10:1"],
                                       ["bias", "--alpha-step", "1e-12"],
-                                      ["delay", "--n", "1:1e7:1"]])
+                                      ["delay", "--n", "1:1e7:1"],
+                                      ["coverage", "--xi=15:-20:1"],
+                                      ["delay", "--n", "12:1:1"]])
     def test_non_finite_grid_exits_2(self, capsys, argv):
-        # finite bounds can still ask for an overflowing or huge point count
+        # finite bounds can still ask for an overflowing or huge point
+        # count, or run backward to no point at all
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid" in err and err.count("\n") == 1
