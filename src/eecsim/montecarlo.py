@@ -1,11 +1,14 @@
 """Independent stochastic oracle for the analytic modules.
 
-Spatial side: one sampler, :func:`_rep_sinr`, draws a Poisson network per
-replication and returns the serving link's SINR under sectored-antenna
-alignment, blockage and Nakagami fading; :func:`empirical_success_curve`
-compares it with every threshold.  Temporal side: :func:`empirical_delay`
-simulates trajectories of a batch of :class:`~eecsim.chain.ChainModel` by
-exponential races and estimates absorption delay and completion fractions.
+Spatial side: :func:`empirical_success_curve` draws a Poisson network per
+replication and compares the serving link's SINR, under sectored-antenna
+alignment, blockage and Nakagami fading, with every threshold.  Each
+replication draws its counts and uniforms from its own stream; placements,
+fades, path loss and interference sums then run over blocks of
+replications as arrays (:class:`_Block`).  Temporal side:
+:func:`empirical_delay` simulates trajectories of a batch of
+:class:`~eecsim.chain.ChainModel` by exponential races and estimates
+absorption delay and completion fractions.
 
 Reproducibility contract: every replication draws from its own stream,
 keyed by numpy's seed-sequence hash of (master seed, replication, purpose),
@@ -47,6 +50,10 @@ _RESAMPLE_LIMIT = 10_000
 # replications whose stream keys are hashed, and whose trajectories step as
 # lanes, together; no result depends on it, and tests patch it to show that
 _CHUNK = 4096
+# float64 elements of serving uniforms, and of interferer uniforms, that the
+# spatial sampler holds at once; this bounds its temporaries, and no result
+# depends on it
+_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -65,16 +72,18 @@ class SimConfig:
 def default_arena_radius(radio: RadioParams, deploy: DeploymentParams) -> float:
     """Interferer sampling radius.
 
-    At least 10x the LoS radius, extended until the mean NLoS interference
-    from beyond the window falls under 1e-4 of the noise floor (capped at
-    100x the LoS radius).  Interference that matters comes from inside the
-    LoS ball, so the 10x floor dominates in ordinary parameterizations.
+    Every LoS interferer lies within 2x the LoS radius of the requester:
+    within the LoS radius of a worker that is itself that close, or of the
+    requester when blockage is judged there.  So the window is 2x the LoS
+    radius, extended until the mean NLoS interference from beyond it falls
+    under 1e-4 of the noise floor (at most 100x the LoS radius, which binds
+    for NLoS exponents near 2).
     """
     rl = radio.los_radius_m
-    floor = 10.0 * rl
+    floor = 2.0 * rl
     nu_r = deploy.requester_intensity_per_m2
     a_n = radio.pathloss_exp_nlos
-    if nu_r <= 0.0 or a_n <= 2.0 or radio.noise_normalized <= 0.0:
+    if nu_r <= 0.0 or a_n <= 2.0:
         return floor
     mean_gain = sum(g * p for g, p in directivity_distribution(radio))
     # mean NLoS power past D: 2 pi nu_r E[gain] C_N D^(2-a_N) / (a_N - 2)
@@ -125,63 +134,170 @@ class CoverageEstimate:
     resampled_realizations: int
 
 
-def _rep_sinr(rng, radio: RadioParams, deploy: DeploymentParams, selection,
-              arena: float, gains: np.ndarray, gain_cum: np.ndarray,
-              worker_centric: bool):
-    """One replication's serving-link SINR, or None if no worker qualifies.
+class _Field:
+    """The constants of one coverage estimate, read once per call.
 
-    The typical requester sits at the origin; workers cover the LoS disk
-    (the only region a serving link may use) and interfering requesters the
-    arena disk.  Only the serving worker's fade and each interferer's fade
-    for its blockage class are drawn.  The serving worker is placed on the
-    x-axis, which is distribution-preserving because the interferer field is
-    isotropic.
+    A replication's stream holds, in order: the LoS worker count (redrawn
+    while too small for the selection rule), the serving uniforms, the
+    interferer count and one row of :attr:`width` uniforms per interferer.
+    The serving uniforms are the selection's (one for random selection, k
+    for rank k) and then the serving fade's.  The typical requester sits at
+    the origin, the serving worker on the x-axis (the interferer field is
+    isotropic), and interferers cover the arena disk.
     """
-    rl = radio.los_radius_m
-    mean_workers = deploy.mean_los_workers(rl)
-    n_w = rng.poisson(mean_workers) if mean_workers > 0 else 0
-    need = 1 if isinstance(selection, RandomSelection) else selection.rank
-    if n_w < need:
-        return None
-    radii2 = rl * rl * rng.random(n_w)
-    if isinstance(selection, RandomSelection):
-        r0 = math.sqrt(radii2[int(rng.integers(n_w))])
-    else:
-        k = selection.rank
-        r0 = math.sqrt(np.partition(radii2, k - 1)[k - 1])
-    h0 = rng.standard_gamma(radio.nakagami_los) / radio.nakagami_los
-    aligned = radio.main_lobe * radio.main_lobe
-    signal = h0 * aligned * radio.intercept_los * r0 ** (-radio.pathloss_exp_los)
 
-    nu_r = deploy.requester_intensity_per_m2
-    n_r = rng.poisson(nu_r * math.pi * arena * arena) if nu_r > 0 else 0
-    interference = 0.0
-    if n_r:
-        u = rng.random(3 * n_r)
-        rad2 = (arena * arena) * u[:n_r]
-        cos_ang = np.cos((2.0 * math.pi) * u[n_r:2 * n_r])
-        u_gain = u[2 * n_r:]
-        picks = ((u_gain > gain_cum[0]).astype(np.int64)
-                 + (u_gain > gain_cum[1]) + (u_gain > gain_cum[2]))
-        link_gains = gains[picks]
-        # squared distance to the receiving worker at (r0, 0), law of cosines;
-        # clamp the rounding of near-colocated points away from negative
-        d2 = np.maximum(rad2 + r0 * r0 - (2.0 * r0) * np.sqrt(rad2) * cos_ang, 0.0)
-        # blockage class per interfering link: anchored at the worker by
-        # default, at the origin requester when toggled
-        los = (d2 if worker_centric else rad2) <= rl * rl
-        d2_los = d2[los]
-        d2_nlos = d2[~los]
-        n_l = radio.nakagami_los
-        n_n = radio.nakagami_nlos
-        fades_los = rng.standard_gamma(n_l, d2_los.size) / n_l
-        fades_nlos = rng.standard_gamma(n_n, d2_nlos.size) / n_n
-        interference = float(
-            (fades_los * link_gains[los] * radio.intercept_los
-             * d2_los ** (-0.5 * radio.pathloss_exp_los)).sum()
-            + (fades_nlos * link_gains[~los] * radio.intercept_nlos
-               * d2_nlos ** (-0.5 * radio.pathloss_exp_nlos)).sum())
-    return signal / (radio.noise_normalized + interference)
+    def __init__(self, query: CoverageQuery, worker_centric: bool):
+        radio, deploy, selection = query.radio, query.deploy, query.selection
+        self.worker_centric = worker_centric
+        self.rank = None if isinstance(selection, RandomSelection) else selection.rank
+        self.mean_workers = deploy.mean_los_workers(radio.los_radius_m)
+        arena = default_arena_radius(radio, deploy)
+        self.mean_interferers = deploy.requester_intensity_per_m2 * math.pi * arena * arena
+        self.arena2 = arena * arena
+        self.rl2 = radio.los_radius_m ** 2
+        pairs = directivity_distribution(radio)
+        self.gains = np.array([g for g, _ in pairs])
+        self.gain_cum = np.cumsum([p for _, p in pairs])[:3]
+        self.shapes = (radio.nakagami_los, radio.nakagami_nlos)
+        self.exponents = (-0.5 * radio.pathloss_exp_los, -0.5 * radio.pathloss_exp_nlos)
+        self.intercepts = (radio.intercept_los, radio.intercept_nlos)
+        self.signal_scale = radio.main_lobe ** 2 * self.intercepts[0]
+        self.noise = radio.noise_normalized
+        # the LoS workers the rule needs, which is also its selection uniforms
+        self.need = self.rank or 1
+        self.head_width = self.need + radio.nakagami_los
+        # squared radius, angle, alignment gain, then the fade's uniforms
+        self.width = 3 + max(self.shapes)
+
+    def counts(self, rng) -> tuple[int, int]:
+        """Draw the LoS worker count, redrawing it while the selection rule
+        lacks a worker; returns it and the number of redraws."""
+        redraws = 0
+        n_w = rng.poisson(self.mean_workers)
+        while n_w < self.need:
+            redraws += 1
+            if redraws >= _RESAMPLE_LIMIT:
+                raise ParameterError(
+                    "could not realize a network with enough LoS workers; "
+                    "worker intensity is too small for this selection rule")
+            n_w = rng.poisson(self.mean_workers)
+        return n_w, redraws
+
+    def serving(self, head: np.ndarray, n_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squared serving distance and signal power of each head row.
+
+        Random selection: a uniformly chosen worker of the disk is uniform in
+        it.  Rank k: the k-th smallest of n uniforms is 1 - prod_j V_j^(1/(n-j+1))
+        over k uniforms V_j (Renyi's representation).  A gamma(m) fade is the
+        sum of m unit exponentials -log(1 - U).  Every row sum is a
+        left-to-right cumulative sum, so a row's value is its own alone.
+        """
+        exps = -np.log1p(-head)
+        if self.rank is None:
+            r0sq = self.rl2 * head[:, 0]
+        else:
+            spans = n_w[:, None] - np.arange(self.rank)
+            r0sq = -self.rl2 * np.expm1(-np.cumsum(exps[:, :self.rank] / spans, axis=1)[:, -1])
+        fade = np.cumsum(exps[:, self.need:], axis=1)[:, -1] / self.shapes[0]
+        return r0sq, fade * self.signal_scale * r0sq ** self.exponents[0]
+
+    def interference(self, u: np.ndarray, r0sq: np.ndarray) -> np.ndarray:
+        """Received power of each interferer row ``u`` at a worker r0sq away.
+
+        Distances run to the receiving worker by the law of cosines, clamped
+        at 0 against rounding; the blockage class is judged at the worker or,
+        toggled, at the origin requester, and picks the fade's shape and the
+        path loss.
+        """
+        rad2 = self.arena2 * u[:, 0]
+        cos_ang = np.cos((2.0 * math.pi) * u[:, 1])
+        gain = self.gains[np.searchsorted(self.gain_cum, u[:, 2])]
+        d2 = np.maximum(rad2 + r0sq - 2.0 * np.sqrt(r0sq * rad2) * cos_ang, 0.0)
+        los = (d2 if self.worker_centric else rad2) <= self.rl2
+        fades = np.cumsum(-np.log1p(-u[:, 3:]), axis=1)
+        (m_l, m_n), (e_l, e_n), (c_l, c_n) = self.shapes, self.exponents, self.intercepts
+        return gain * np.where(los, fades[:, m_l - 1] * (c_l / m_l) * d2 ** e_l,
+                               fades[:, m_n - 1] * (c_n / m_n) * d2 ** e_n)
+
+
+class _Block:
+    """Replications in flight: their serving uniforms, up to ``_BLOCK`` elements,
+    and their interferer rows, up to ``_BLOCK`` elements, which are evaluated
+    and summed whenever the buffer fills.  A row's interference is summed
+    left to right in its stream's order, across buffer refills too, so no
+    SINR depends on the block a replication falls in."""
+
+    def __init__(self, field: _Field):
+        self.field = field
+        rows = max(1, _BLOCK // field.head_width)
+        self.head = np.empty((rows, field.head_width))
+        self.n_w = np.empty(rows, dtype=np.int64)
+        self.r0sq, self.signal, self.power = np.empty(rows), np.empty(rows), np.zeros(rows)
+        self.u = np.empty((max(1, _BLOCK // field.width), field.width))
+        self.owner = np.empty(len(self.u), dtype=np.intp)
+        self.rows = self.served = self.used = 0
+
+    def full(self) -> bool:
+        return self.rows == len(self.head)
+
+    def add(self, rng, n_w: int) -> None:
+        """Draw one replication's serving uniforms, interferer count and rows."""
+        row = self.rows
+        rng.random(out=self.head[row])
+        self.n_w[row] = n_w
+        self.rows += 1
+        left = rng.poisson(self.field.mean_interferers)
+        while left:
+            if self.used == len(self.u):
+                self._sum_interference()
+            take = min(left, len(self.u) - self.used)
+            rng.random(out=self.u[self.used:self.used + take])
+            self.owner[self.used:self.used + take] = row
+            self.used += take
+            left -= take
+
+    def _sum_interference(self) -> None:
+        lo, hi = self.served, self.rows
+        self.r0sq[lo:hi], self.signal[lo:hi] = self.field.serving(self.head[lo:hi],
+                                                                  self.n_w[lo:hi])
+        self.served = hi
+        owner = self.owner[:self.used]
+        np.add.at(self.power, owner,
+                  self.field.interference(self.u[:self.used], self.r0sq[owner]))
+        self.used = 0
+
+    def finish(self) -> np.ndarray:
+        """SINRs of the block's replications, in order; empties the block."""
+        self._sum_interference()
+        rows = self.rows
+        sinr = self.signal[:rows] / (self.field.noise + self.power[:rows])
+        self.power[:rows] = 0.0
+        self.rows = self.served = 0
+        return sinr
+
+
+def _sinrs(field: _Field, keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Serving-link SINR of each keyed replication, and the redraw count.
+
+    One Philox generator is rewound to each replication's stream (keyed by
+    its two 64-bit key words, counter at zero): the same draws as a fresh
+    generator per replication, without building one.
+    """
+    bitgen = np.random.Philox(key=0)
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state
+    block = _Block(field)
+    out, redraws = [], 0
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        n_w, redrawn = field.counts(rng)
+        redraws += redrawn
+        if block.full():
+            out.append(block.finish())
+        block.add(rng, n_w)
+    out.append(block.finish())
+    return np.concatenate(out), redraws
 
 
 def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
@@ -191,45 +307,23 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     One SINR sample per replication is compared against every threshold;
     realizations with too few LoS workers for the selection rule are
     resampled (sequentially within the replication's own stream) and
-    counted.  Results do not depend on ``_CHUNK``.
+    counted.  Results depend on neither ``_CHUNK`` nor ``_BLOCK``.
     """
     thresholds = np.array([10.0 ** (float(x) / 10.0) for x in xi_db_values])
-    radio, deploy, selection = query.radio, query.deploy, query.selection
-    if not isinstance(selection, (RandomSelection, RankedSelection)):
-        raise ParameterError(f"unsupported selection {selection!r}")
+    if not isinstance(query.selection, (RandomSelection, RankedSelection)):
+        raise ParameterError(f"unsupported selection {query.selection!r}")
     if los_classification not in ("worker", "requester"):
         raise ParameterError(f"unknown los_classification {los_classification!r}")
-    worker_centric = los_classification == "worker"
-    arena = default_arena_radius(radio, deploy)
-    pairs = directivity_distribution(radio)
-    gains = np.array([g for g, _ in pairs])
-    gain_cum = np.cumsum([p for _, p in pairs])
+    field = _Field(query, los_classification == "worker")
     counts = np.zeros(len(thresholds), dtype=np.int64)
     resampled = 0
     reps = cfg.replications
-    # one generator for the whole run, rewound to each replication's own
-    # stream (Philox keyed by its two 64-bit key words, counter at zero): the
-    # same draws as a fresh generator per replication, without building one
-    bitgen = np.random.Philox(key=0)
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
     for start in range(0, reps, _CHUNK):
-        for key in _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_SPATIAL):
-            state["state"]["key"] = key
-            bitgen.state = state
-            attempts = 0
-            while True:
-                sinr = _rep_sinr(rng, radio, deploy, selection, arena,
-                                 gains, gain_cum, worker_centric)
-                if sinr is not None:
-                    break
-                attempts += 1
-                if attempts >= _RESAMPLE_LIMIT:
-                    raise ParameterError(
-                        "could not realize a network with enough LoS workers; "
-                        "worker intensity is too small for this selection rule")
-            resampled += attempts
-            counts += sinr > thresholds
+        keys = _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_SPATIAL)
+        sinrs, redraws = _sinrs(field, keys)
+        resampled += redraws
+        # replications above each threshold: those past its right insertion point
+        counts += sinrs.size - np.searchsorted(np.sort(sinrs), thresholds, side="right")
     out = []
     for count in counts.tolist():
         p = count / reps

@@ -24,6 +24,7 @@ from eecsim.coverage import (
 )
 from eecsim.errors import ParameterError, QuadratureError
 from eecsim.params import DeploymentParams, alzer_eta, db_to_linear, directivity_distribution
+from exact_coverage import exact_success
 
 # Reference success probabilities for the default deployment, used as
 # validated anchors (tolerance 5e-3).
@@ -286,6 +287,31 @@ class TestSuccessProbability:
         q = CoverageQuery(radio, deploy, "nearest")
         with pytest.raises(ParameterError):
             success_probability(q)
+
+
+class TestExactOracle:
+    """The exact integer-shape oracle that criterion 3 checks the simulator
+    against (tests/exact_coverage.py)."""
+
+    @pytest.mark.parametrize("selection,rl,xi,want", [
+        (RandomSelection(), 300.0, 0.0, 0.24548),
+        (RandomSelection(), 100.0, 10.0, 0.50951),
+        (RankedSelection(1), 100.0, 10.0, 0.90674),
+    ], ids=["random-300-0", "random-100-10", "ranked1-100-10"])
+    def test_reference_values(self, radio, deploy, selection, rl, xi, want):
+        # values from an independent implementation, to 5 digits
+        got = exact_success(replace(radio, los_radius_m=rl), deploy, selection, xi)
+        assert got == pytest.approx(want, abs=5e-6)
+
+    @pytest.mark.parametrize("selection,rl,xi", [
+        (RandomSelection(), 100.0, 10.0), (RankedSelection(1), 300.0, 0.0),
+    ], ids=["random-100-10", "ranked1-300-0"])
+    def test_rayleigh_serving_fade_matches_the_kernel(self, radio, deploy, selection, rl, xi):
+        # with a unit serving shape the tail constant is 1 and the expansion
+        # is exact, so the package's kernel and the oracle must agree
+        rayleigh = replace(radio, los_radius_m=rl, nakagami_los=1, sinr_threshold_db=xi)
+        want = success_probability(CoverageQuery(rayleigh, deploy, selection))
+        assert exact_success(rayleigh, deploy, selection, xi) == pytest.approx(want, abs=1e-7)
 
 
 def rank_density_ref(k, r, v, rl):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eecsim import cli, montecarlo
+from eecsim import cli, montecarlo, params
 from eecsim.chain import (
     build_baseline,
     build_failure_chain,
@@ -24,8 +24,9 @@ from eecsim.montecarlo import (
     _PURPOSE_SPATIAL,
     _PURPOSE_TRAJECTORY,
     SimConfig,
+    _Field,
     _JumpTables,
-    _rep_sinr,
+    _sinrs,
     _stream_keys,
     default_arena_radius,
     empirical_delay,
@@ -91,30 +92,9 @@ def one_by_one(seed, reps, model):
 def draw_sinr(seed, radio, deploy, anchor="worker", selection=RankedSelection(1),
               replication=0):
     """The estimator's sampler on one replication of ``seed``: nearest worker."""
-    pairs = directivity_distribution(radio)
-    gains = np.array([g for g, _ in pairs])
-    gain_cum = np.cumsum([p for _, p in pairs])
-    return _rep_sinr(spatial_rng(seed, replication), radio, deploy, selection,
-                     default_arena_radius(radio, deploy), gains, gain_cum,
-                     anchor == "worker")
-
-
-def worker_count(seed, radio, deploy):
-    """LoS workers the sampler draws on replication 0 of ``seed``.
-
-    The count is the replication's first draw, and the k-th nearest worker
-    exists exactly when the count is at least k, so bisect on k.
-    """
-    def has(k):
-        return draw_sinr(seed, radio, deploy, selection=RankedSelection(k)) is not None
-
-    lo, hi = 0, 1
-    while has(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if has(mid) else (lo, mid)
-    return lo
+    field = _Field(CoverageQuery(radio, deploy, selection), anchor == "worker")
+    keys = _stream_keys(seed, replication, replication + 1, _PURPOSE_SPATIAL)
+    return float(_sinrs(field, keys)[0][0])
 
 
 def edge_snr(radio):
@@ -177,8 +157,9 @@ class TestSampling:
         assert draw_sinr(123, radio, deploy) != draw_sinr(124, radio, deploy)
 
     def test_zero_worker_intensity(self, radio):
-        # no worker to serve: the sampler reports it and the estimator resamples
-        assert draw_sinr(5, radio, DeploymentParams(0.0, 1e-4)) is None
+        # no worker to serve: the sampler redraws the count until it gives up
+        with pytest.raises(ParameterError, match="enough LoS workers"):
+            draw_sinr(5, radio, DeploymentParams(0.0, 1e-4))
 
     def test_estimator_follows_replication_streams(self, radio, deploy):
         # the estimator rewinds one generator to each replication's stream, so
@@ -194,13 +175,36 @@ class TestSampling:
         assert ests[0].resampled_realizations == 0
 
     def test_mean_worker_count(self, radio, deploy):
-        # requesters are drawn after the workers, so dropping them leaves
-        # every count as it is and only saves the interference work
-        quiet = replace(deploy, requester_intensity_per_m2=0.0)
+        # the count is each stream's first draw, redrawn while it is 0, so it
+        # is Poisson(v) given at least one: mean v / (1 - e^-v), variance at most v
+        field = _Field(CoverageQuery(radio, deploy, RandomSelection()), True)
         v = deploy.mean_los_workers(radio.los_radius_m)
-        counts = [worker_count(seed, radio, quiet) for seed in range(10_000)]
+        counts = [field.counts(spatial_rng(seed, 0))[0] for seed in range(10_000)]
         sigma = math.sqrt(v / len(counts))
-        assert np.mean(counts) == pytest.approx(v, abs=3 * sigma)
+        assert np.mean(counts) == pytest.approx(v / -math.expm1(-v), abs=3 * sigma)
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_ranked_distance_law(self, radio, rank):
+        # nearly deterministic fading, no interferers: the rank-k worker
+        # clears the mean SNR at distance r exactly when it lies within r,
+        # which given at least k workers has probability
+        # P(Poisson(v F) >= k) / P(Poisson(v) >= k), F = (r/R_L)^2
+        quiet = replace(radio, nakagami_los=1000)
+        deploy = DeploymentParams(2e-4, 0.0)
+        v = deploy.mean_los_workers(radio.los_radius_m)
+
+        def at_least(mean):
+            return 1.0 - sum(math.exp(-mean) * mean ** i / math.factorial(i) for i in range(rank))
+
+        reps = 4000
+        fractions = (0.2, 0.4, 0.7)
+        xis = [10.0 * math.log10(edge_snr(quiet) * f ** (-quiet.pathloss_exp_los))
+               for f in fractions]
+        query = CoverageQuery(quiet, deploy, RankedSelection(rank))
+        ests = empirical_success_curve(SimConfig(seed=9, replications=reps), query, xis)
+        for est, f in zip(ests, fractions):
+            p = at_least(v * f * f) / at_least(v)
+            assert abs(est.estimate - p) <= 3 * math.sqrt(p * (1 - p) / reps), f
 
     def test_workers_inside_los_disk(self, radio):
         # nearly deterministic fading, no interferers: every serving link
@@ -213,7 +217,43 @@ class TestSampling:
             assert empirical_success_curve(cfg, query, [xi_db])[0].estimate == 1.0
 
     def test_arena_default(self, radio, deploy):
-        assert default_arena_radius(radio, deploy) == 10 * radio.los_radius_m
+        # at the preset the NLoS tail radius, about 106 m, lies inside the
+        # 2 R_L disk that holds every LoS interferer
+        rl = radio.los_radius_m
+        assert default_arena_radius(radio, deploy) == 2 * rl
+        wide = replace(radio, los_radius_m=300.0)
+        assert default_arena_radius(wide, deploy) == 600.0
+        assert default_arena_radius(radio, replace(deploy, requester_intensity_per_m2=0.0)) == 2 * rl
+        # a short LoS radius: the tail radius, where the mean NLoS power from
+        # beyond falls to 1e-4 of the noise
+        short = replace(radio, los_radius_m=30.0)
+        tail = default_arena_radius(short, deploy)
+        mean_gain = sum(g * p for g, p in directivity_distribution(short))
+        a_n = short.pathloss_exp_nlos
+        beyond = (2 * math.pi * deploy.requester_intensity_per_m2 * mean_gain
+                  * db_to_linear(short.intercept_nlos_db) * tail ** (2 - a_n) / (a_n - 2))
+        assert 60.0 < tail < 3000.0
+        assert beyond == pytest.approx(1e-4 * db_to_linear(short.noise_normalized_db), rel=1e-9)
+        # alpha_N near 2: the tail radius passes the 100 R_L cap
+        near_two = replace(wide, pathloss_exp_nlos=2.2)
+        assert default_arena_radius(near_two, deploy) == 100 * 300.0
+
+    @pytest.mark.parametrize("rl,xi_db", [(100.0, 5.0), (300.0, 0.0)])
+    @pytest.mark.parametrize("anchor", ANCHORS)
+    def test_window_matches_ten_radii(self, radio, deploy, rl, xi_db, anchor, monkeypatch):
+        # the links the default window drops are NLoS ones past 2 R_L, which
+        # move coverage far less than the noise: estimates at the default
+        # window and at 10 R_L (independent seeds) agree within 3 sigma
+        query = CoverageQuery(replace(radio, los_radius_m=rl), deploy, RandomSelection())
+        reps = 5000
+        default = empirical_success_curve(SimConfig(seed=51, replications=reps), query,
+                                          [xi_db], los_classification=anchor)[0]
+        monkeypatch.setattr(montecarlo, "default_arena_radius",
+                            lambda radio, deploy: 10.0 * radio.los_radius_m)
+        wide = empirical_success_curve(SimConfig(seed=52, replications=reps), query,
+                                       [xi_db], los_classification=anchor)[0]
+        combined_se = math.hypot(default.std_error, wide.std_error)
+        assert abs(default.estimate - wide.estimate) <= 3 * combined_se
 
 
 class TestLinkSinr:
@@ -252,15 +292,57 @@ class TestLinkSinr:
             estimate(SimConfig(seed=1, replications=1), query, los_classification="origin")
 
 
-class TestEmpiricalCoverage:
-    def test_reproducible_and_chunk_invariant(self, radio, deploy, monkeypatch):
-        query = CoverageQuery(radio, deploy, RandomSelection())
-        runs = []
+def runs_over_chunks_and_blocks(monkeypatch, query, reps, blocks):
+    """The estimate at every chunk width 1, 64 and 500 and every block size,
+    and the replications' SINRs at every block size, which must agree bit
+    for bit (a threshold count would hide a last-bit difference)."""
+    runs, sinrs = [], []
+    keys = _stream_keys(7, 0, reps, _PURPOSE_SPATIAL)
+    for block in blocks:
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        sinrs.append(_sinrs(_Field(query, True), keys))
         for chunk in (1, 64, 500):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            runs.append(empirical_success_curve(SimConfig(seed=7, replications=500), query,
-                                                [5.0])[0])
-        assert runs[0].estimate == runs[1].estimate == runs[2].estimate
+            runs.append(empirical_success_curve(SimConfig(seed=7, replications=reps), query,
+                                                [-5.0, 0.0, 5.0, 10.0]))
+    assert all(np.array_equal(s[0], sinrs[0][0]) and s[1] == sinrs[0][1] for s in sinrs)
+    return runs
+
+
+class TestEmpiricalCoverage:
+    def test_reproducible_and_chunk_invariant(self, radio, deploy, monkeypatch):
+        # rank 2 at the preset; the small block holds fewer interferer rows
+        # than one replication draws, so replications straddle buffer refills
+        query = CoverageQuery(radio, deploy, RankedSelection(2))
+        runs = runs_over_chunks_and_blocks(monkeypatch, query, 500, (montecarlo._BLOCK, 50))
+        assert all(run == runs[0] for run in runs)
+
+    def test_block_invariant_at_the_window_cap(self, radio, deploy, monkeypatch):
+        # alpha_N = 2.2 at R_L = 300 m: the window is 100 R_L, about 2.8e5
+        # interferers per replication, each streamed through many refills
+        query = CoverageQuery(replace(radio, los_radius_m=300.0, pathloss_exp_nlos=2.2),
+                              deploy, RandomSelection())
+        runs = runs_over_chunks_and_blocks(monkeypatch, query, 5, (montecarlo._BLOCK, 3000))
+        assert all(run == runs[0] for run in runs)
+
+    def test_linear_values_read_once_per_call(self, radio, deploy, monkeypatch):
+        # the radio's linear values are converted once per estimate, not once
+        # per replication
+        calls = []
+        convert = params.db_to_linear
+
+        def counting(value_db):
+            calls.append(value_db)
+            return convert(value_db)
+
+        monkeypatch.setattr(params, "db_to_linear", counting)
+        counts = []
+        for reps in (10, 1000):
+            calls.clear()
+            estimate(SimConfig(seed=2, replications=reps),
+                     CoverageQuery(radio, deploy, RankedSelection(1)))
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_matches_analysis_random(self, radio, deploy):
         query = CoverageQuery(radio, deploy, RandomSelection())
@@ -292,7 +374,8 @@ class TestEmpiricalCoverage:
         # estimates of the same probability, for both selection rules under
         # both blockage anchors; every oracle network serves all four
         reps = 15_000
-        arena = default_arena_radius(radio, deploy)
+        # the oracle keeps its own window, wider than the estimator's
+        arena = 10.0 * radio.los_radius_m
         hits = dict.fromkeys([(rule, a) for rule in ("nearest", "random") for a in ANCHORS], 0)
         threshold = db_to_linear(radio.sinr_threshold_db)
         for rep in range(reps):
