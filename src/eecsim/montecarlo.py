@@ -10,19 +10,19 @@ replications as arrays (:class:`_Block`).  Temporal side:
 :class:`~eecsim.chain.ChainModel` by exponential races and estimates
 absorption delay and completion fractions.
 
-Reproducibility contract: every replication draws from its own stream,
-keyed by numpy's seed-sequence hash of (master seed, replication, purpose),
-which :func:`_stream_keys` computes for a chunk at once.  Aggregation is
-exact (integer counts, correctly rounded float sums), so results do not
-depend on chunking.  The models of one :func:`empirical_delay` call step a
-chunk's replications as lockstep numpy lanes over each stream's one shared
-prefix, so a model's estimate is the same alone or in any batch.
+Reproducibility contract: every replication draws from its own Philox
+streams, one per purpose, keyed by numpy's seed-sequence hash of (master
+seed, replication, purpose) that :func:`_stream_keys` computes for a chunk
+at once; both samplers rewind one generator to each key (:func:`_streams`).
+Aggregation is exact (integer counts, correctly rounded float sums), so
+results do not depend on chunking.  The models of one :func:`empirical_delay`
+call step a chunk's replications as lockstep numpy lanes over each stream's
+one shared prefix, so a model's estimate is the same alone or in any batch.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from array import array
 from dataclasses import dataclass
 
@@ -51,8 +51,8 @@ _RESAMPLE_LIMIT = 10_000
 # lanes, together; no result depends on it, and tests patch it to show that
 _CHUNK = 4096
 # float64 elements of serving uniforms, and of interferer uniforms, that the
-# spatial sampler holds at once; this bounds its temporaries, and no result
-# depends on it
+# spatial sampler holds at once, and the states of one jump-table slice; this
+# bounds their temporaries, and no result depends on it
 _BLOCK = 1 << 15
 
 
@@ -276,21 +276,24 @@ class _Block:
         return sinr
 
 
-def _sinrs(field: _Field, keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Serving-link SINR of each keyed replication, and the redraw count.
-
-    One Philox generator is rewound to each replication's stream (keyed by
-    its two 64-bit key words, counter at zero): the same draws as a fresh
-    generator per replication, without building one.
-    """
+def _streams(keys: np.ndarray):
+    """One Philox generator, rewound in turn to each key's stream (its two
+    64-bit key words, counter at zero, no buffered output): the same draws
+    as a fresh generator per key, without building one."""
     bitgen = np.random.Philox(key=0)
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    block = _Block(field)
-    out, redraws = [], 0
     for key in keys:
         state["state"]["key"] = key
         bitgen.state = state
+        yield rng
+
+
+def _sinrs(field: _Field, keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Serving-link SINR of each keyed replication (:func:`_streams`), and the redraw count."""
+    block = _Block(field)
+    out, redraws = [], 0
+    for rng in _streams(keys):
         n_w, redrawn = field.counts(rng)
         redraws += redrawn
         if block.full():
@@ -355,68 +358,65 @@ class _JumpTables:
         n, budget = model.n, model.spare_budget
         levels = 1 if budget is None else budget + 1
         span = np.arange(n + 1)
-        f, c = np.nonzero(span[:, None] + span <= n)
-        f, c = f.repeat(levels), c.repeat(levels)
-        u = np.tile(np.arange(levels), f.size // levels)
-        state = np.arange(f.size)
-        size = f.size + (budget is not None)
+        pair_f, pair_c = np.nonzero(span[:, None] + span <= n)
+        states = pair_f.size * levels
+        size = states + (budget is not None)
         self.rate = np.zeros(size)
         self.cum = np.ones((size, 3))
         self.targets = np.full((size, 3), -1)
         self.success = np.zeros(size, dtype=bool)
-        self.success[:f.size] = f == n
-        # (failure, allocation, completion, FAIL) of every state, and where
-        # each lands: (f, c-1, u or u+1), (f, c+1, u), (f+1, c-1, u), FAIL
-        moves = _Lanes([model]).table[:4, 1 * (u == levels - 1), 1 * (c < n - f), c, 0].T
-        lands = np.stack([state - levels + (budget is not None), state + levels,
-                          state + (n - f) * levels, np.full_like(state, f.size)], axis=1)
-        # the exit rate summed left to right, as the moves are listed, where
-        # a zero rate adds nothing; an absorbing row divides its zeros by 1
-        rate = self.rate[:f.size] = moves[:, 0] + moves[:, 1] + moves[:, 2] + moves[:, 3]
-        cum = np.cumsum(moves / np.where(rate > 0.0, rate, 1.0)[:, None], axis=1)
-        # the moves of positive rate first, in order; the last is forced to 1
-        live = np.argsort(moves <= 0.0, axis=1, kind="stable")[:, :3]
-        count = np.count_nonzero(moves > 0.0, axis=1)[:, None]
+        table = _Lanes([model]).table
         slot = np.arange(3)
-        self.cum[:f.size] = np.where(slot < count - 1, np.take_along_axis(cum, live, 1), 1.0)
-        self.targets[:f.size] = np.where(slot < count, np.take_along_axis(lands, live, 1), -1)
+        for lo in range(0, states, _BLOCK):
+            hi = min(lo + _BLOCK, states)
+            state = np.arange(lo, hi)
+            pair, u = np.divmod(state, levels)
+            f, c = pair_f[pair], pair_c[pair]
+            self.success[lo:hi] = f == n
+            # (failure, allocation, completion, FAIL) of every state, and where
+            # each lands: (f, c-1, u or u+1), (f, c+1, u), (f+1, c-1, u), FAIL
+            moves = table[:4, 1 * (u == levels - 1), 1 * (c < n - f), c, 0].T
+            lands = np.stack([state - levels + (budget is not None), state + levels,
+                              state + (n - f) * levels, np.full_like(state, states)], axis=1)
+            # the exit rate summed left to right, as the moves are listed, where
+            # a zero rate adds nothing; an absorbing row divides its zeros by 1
+            rate = self.rate[lo:hi] = moves[:, 0] + moves[:, 1] + moves[:, 2] + moves[:, 3]
+            cum = np.cumsum(moves / np.where(rate > 0.0, rate, 1.0)[:, None], axis=1)
+            # the moves of positive rate first, in order; the last is forced to 1
+            live = np.argsort(moves <= 0.0, axis=1, kind="stable")[:, :3]
+            count = np.count_nonzero(moves > 0.0, axis=1)[:, None]
+            self.cum[lo:hi] = np.where(slot < count - 1, np.take_along_axis(cum, live, 1), 1.0)
+            self.targets[lo:hi] = np.where(slot < count, np.take_along_axis(lands, live, 1), -1)
         # the builders reject zero rates, so every transient state has an exit
         self.absorbing = self.rate == 0.0
 
 
-def _prefixes(rng: random.Random, keys: np.ndarray, steps: int) -> np.ndarray:
-    """The first ``4 * steps`` 32-bit outputs of each key's stream, in order
-    (``getrandbits`` packs them little-endian): a step takes two ``random()``
-    values of two outputs each.  The key words are one int, high word first."""
-    words = np.empty((len(keys), 4 * steps), dtype=np.uint32)
-    for row, key in zip(words, keys):
-        rng.seed(int(key[0]) << 64 | int(key[1]))
-        row[:] = np.frombuffer(rng.getrandbits(128 * steps).to_bytes(16 * steps, "little"),
-                               dtype="<u4")
-    return words
+def _prefixes(keys: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``steps`` steps of each key's stream: step k reads uniforms
+    2k and 2k + 1.  Returns the sojourns as unit exponentials ``-log1p(-U)``
+    of the first, and the move uniforms, one row per key."""
+    u = np.empty((len(keys), steps, 2))
+    for row, rng in zip(u, _streams(keys)):
+        rng.random(out=row)
+    return -np.log1p(-u[:, :, 0]), u[:, :, 1]
 
 
-def _trajectories(table: _JumpTables, words: np.ndarray, rng: random.Random,
+def _trajectories(table: _JumpTables, exps: np.ndarray, moves: np.ndarray,
                   keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Delays of a chunk's replications, in order of absorption, and the count
     of successes.  The replications step together as lanes: the sojourn is
-    drawn as ``expovariate`` does from the step's first uniform, the move is
-    the first whose cumulative probability reaches the second, and lanes
-    that outrun the prefix ``words`` redraw one twice as long."""
+    the step's exponential over the exit rate, the move is the first whose
+    cumulative probability reaches the step's move uniform, and lanes that
+    outrun the prefix redraw one twice as long."""
     lanes = rows = np.arange(len(keys))
     state, t = np.zeros_like(lanes), np.zeros(lanes.size)
     delays, successes, step = [], 0, 0
     while lanes.size:
-        if 4 * step == words.shape[1]:
-            words = _prefixes(rng, keys[lanes], 2 * step)
+        if step == exps.shape[1]:
+            exps, moves = _prefixes(keys[lanes], 2 * step)
             rows = np.arange(lanes.size)
-        w = words[rows, 4 * step:4 * step + 4]
-        # random() as CPython builds it: 27 and 26 bits of two outputs
-        u = ((w[:, 0::2] >> 5) * 67108864.0 + (w[:, 1::2] >> 6)) / 9007199254740992.0
-        # math.log as expovariate takes it: np.log can differ in the last bit
-        logs = np.fromiter(map(math.log, (1.0 - u[:, 0]).tolist()), float, lanes.size)
-        t += -logs / table.rate[state]
-        state = table.targets[state, np.argmax(table.cum[state] >= u[:, 1:], axis=1)]
+        t += exps[rows, step] / table.rate[state]
+        state = table.targets[state, np.argmax(table.cum[state] >= moves[rows, step, None], 1)]
         done = table.absorbing[state]
         delays.append(t[done])
         successes += int(np.count_nonzero(table.success[state[done]]))
@@ -429,23 +429,22 @@ def _trajectories(table: _JumpTables, words: np.ndarray, rng: random.Random,
 def empirical_delay(cfg: SimConfig, models: list[ChainModel]) -> list[DelayEstimate]:
     """Trajectory-averaged absorption delay and completion fraction, per model.
 
-    Each chunk of ``_CHUNK`` replications seeds its streams once, and
-    every model replays them.  Each mean is a correctly rounded sum of
-    per-replication delays, so neither chunking nor the order in which
-    trajectories end can perturb the result.
+    Each chunk of ``_CHUNK`` replications draws one prefix of its
+    trajectory streams (:func:`_streams`), and every model reads it.  Each
+    mean is a correctly rounded sum of per-replication delays, so neither
+    chunking nor the order in which trajectories end can perturb the result.
     """
     tables = [_JumpTables(model) for model in models]
     reps = cfg.replications
     delays = [array("d") for _ in tables]
     completed = [0] * len(tables)
-    rng = random.Random()
     # the shortest trajectory of the largest chain: n allocations, n completions
     steps = 2 * max((model.n for model in models), default=0)
     for start in range(0, reps, _CHUNK):
         keys = _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_TRAJECTORY)
-        prefix = _prefixes(rng, keys, steps)
+        exps, moves = _prefixes(keys, steps)
         for m, table in enumerate(tables):
-            chunk_delays, done = _trajectories(table, prefix, rng, keys)
+            chunk_delays, done = _trajectories(table, exps, moves, keys)
             delays[m].frombytes(chunk_delays.tobytes())
             completed[m] += done
     out = []

@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eecsim import montecarlo
 from eecsim.chain import (
     _Lanes,
     build_baseline,
@@ -582,6 +585,34 @@ class TestAgainstJumpReference:
         assert np.array_equal(tables.targets, targets)
         assert np.array_equal(tables.success, success)
         assert np.array_equal(tables.absorbing, absorbing)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(chains())
+    def test_tables_match_in_small_slices(self, params):
+        # most of these chains span several slices of 50 states
+        model = chain(*params)
+        with mock.patch.object(montecarlo, "_BLOCK", 50):
+            tables = _JumpTables(model)
+        for got, want in zip((tables.rate, tables.cum, tables.targets, tables.success,
+                              tables.absorbing), jump_tables_ref(model)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("budget", [2000, 8000])
+    def test_build_memory_is_bounded_by_the_slice(self, budget):
+        # numpy reports its buffers to tracemalloc; past the tables' own
+        # bytes, the build holds one slice's temporaries (about 8 MiB), not
+        # several arrays as long as the tables (28 and 114 MiB at these
+        # budgets when built in one piece)
+        model = build_failure_chain(10, [0.9] * 10, 0.02, 1.0, spare_budget=budget)
+        tracemalloc.start()
+        try:
+            tables = _JumpTables(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        own = sum(a.nbytes for a in (tables.rate, tables.cum, tables.targets,
+                                     tables.success, tables.absorbing))
+        assert peak - own < 16 * 2 ** 20
 
 
 class TestHugeSpareBudget:

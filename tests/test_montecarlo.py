@@ -1,5 +1,4 @@
 import math
-import random
 import warnings
 from dataclasses import replace
 
@@ -28,6 +27,7 @@ from eecsim.montecarlo import (
     _JumpTables,
     _sinrs,
     _stream_keys,
+    _streams,
     default_arena_radius,
     empirical_delay,
     empirical_success_curve,
@@ -50,39 +50,35 @@ def stream_words(seed, replication, purpose):
     return np.random.SeedSequence((seed, replication, purpose)).generate_state(2, np.uint64)
 
 
-def spatial_rng(seed, replication):
-    """A fresh generator on one replication's spatial stream."""
-    return np.random.Generator(np.random.Philox(key=stream_words(seed, replication,
-                                                                 _PURPOSE_SPATIAL)))
-
-
-def trajectory_rng(seed, replication):
-    """A fresh generator on one replication's trajectory stream."""
-    high, low = stream_words(seed, replication, _PURPOSE_TRAJECTORY).tolist()
-    return random.Random(high << 64 | low)
+def stream_rng(seed, replication, purpose):
+    """A fresh generator on one replication's stream for one purpose."""
+    return np.random.Generator(np.random.Philox(key=stream_words(seed, replication, purpose)))
 
 
 def run_trajectory(tables, rng):
     """One exponential-race trajectory on the jump tables, absorbed:
-    (delay, completed).  The scalar walk the batched estimator replaces."""
+    (delay, completed).  The scalar walk the batched estimator replaces.
+    The sojourn's log is numpy's, as the estimator takes it: ``math.log1p``
+    can differ from it in the last bit."""
     state = 0
     t = 0.0
     while not tables.absorbing[state]:
-        t += rng.expovariate(float(tables.rate[state]))
+        t += -np.log1p(-np.array([rng.random()]))[0] / tables.rate[state]
         u = rng.random()
         cum = tables.cum[state].tolist()
         pick = 0
         while cum[pick] < u:
             pick += 1
         state = int(tables.targets[state, pick])
-    return t, bool(tables.success[state])
+    return float(t), bool(tables.success[state])
 
 
 def one_by_one(seed, reps, model):
     """Delay estimate of one model, trajectory by trajectory on fresh
     generators: (mean, standard error, completion fraction)."""
     tables = _JumpTables(model)
-    runs = [run_trajectory(tables, trajectory_rng(seed, rep)) for rep in range(reps)]
+    runs = [run_trajectory(tables, stream_rng(seed, rep, _PURPOSE_TRAJECTORY))
+            for rep in range(reps)]
     delays = [d for d, _ in runs]
     mean = math.fsum(delays) / reps
     se = math.sqrt(math.fsum((d - mean) ** 2 for d in delays) / (reps - 1) / reps)
@@ -179,7 +175,7 @@ class TestSampling:
         # is Poisson(v) given at least one: mean v / (1 - e^-v), variance at most v
         field = _Field(CoverageQuery(radio, deploy, RandomSelection()), True)
         v = deploy.mean_los_workers(radio.los_radius_m)
-        counts = [field.counts(spatial_rng(seed, 0))[0] for seed in range(10_000)]
+        counts = [field.counts(stream_rng(seed, 0, _PURPOSE_SPATIAL))[0] for seed in range(10_000)]
         sigma = math.sqrt(v / len(counts))
         assert np.mean(counts) == pytest.approx(v / -math.expm1(-v), abs=3 * sigma)
 
@@ -440,12 +436,25 @@ class TestStreamKeys:
         with pytest.raises(ParameterError, match="2\\*\\*32"):
             SimConfig(seed=1, replications=2 ** 32 + 1)
 
+    def test_streams_rewind_to_fresh_generators(self):
+        # an uneven number of draws per key leaves buffered output (Philox
+        # makes four 64-bit words at a time, and halves them for 32-bit
+        # draws), which must not leak into the next key's stream
+        def draws(rng, i):
+            return (rng.random(i + 1).tolist(), rng.poisson(2.5, i % 3).tolist(),
+                    rng.integers(2 ** 32, size=i % 2 + 1, dtype=np.uint32).tolist())
+
+        keys = np.concatenate([_stream_keys(3, 0, 4, _PURPOSE_SPATIAL),
+                               _stream_keys(3, 0, 4, _PURPOSE_TRAJECTORY)])
+        for i, (key, rng) in enumerate(zip(keys, _streams(keys))):
+            assert draws(rng, i) == draws(np.random.Generator(np.random.Philox(key=key)), i)
+
 
 class TestTrajectories:
     def test_deterministic(self):
         model = build_baseline(3, 1.0, 0.02)
-        a = run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
-        b = run_trajectory(_JumpTables(model), trajectory_rng(99, 0))
+        a = run_trajectory(_JumpTables(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
+        b = run_trajectory(_JumpTables(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
         assert a == b
         assert a[0] > 0.0 and a[1] is True
 
