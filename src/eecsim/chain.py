@@ -21,7 +21,9 @@ With g = n - f segments left, the states (f, c, u), c = 0..g, form block
 (g, u).  :attr:`_Lanes.table` states the rules once, as one array of rates
 ``table[move, at_budget, can_allocate, c, lane]`` over the moves (failure,
 allocation, completion, FAIL, exit-rate denominator); a move that does not
-exist has rate 0.  The solvers here and the trajectory simulator all read it.
+exist has rate 0.  The solvers here read it, and so does the trajectory
+simulator, at each state's row (:meth:`_Lanes.row`) and with each move's
+step (:data:`STEPS`), keeping nothing per state.
 
 Neither f nor u ever decreases, and the mean time to absorption and the
 probability of absorbing at (n, 0) solve one linear system each, so
@@ -48,6 +50,7 @@ from .params import MAX_GRID_POINTS, require_int, require_spare_budget
 
 __all__ = [
     "ChainModel",
+    "require_state_count",
     "build_baseline",
     "build_level_dependent",
     "build_failure_chain",
@@ -115,26 +118,29 @@ def build_failure_chain(n: int, lambda_list, mu_f: float, l: float,
 
     Each computing worker fails at rate mu_f / (l * n); its segment returns
     to the unallocated pool.  With ``spare_budget=None`` replacements are
-    unlimited; with a finite budget, exceeding it absorbs into FAIL.  A
-    budget that gives the chain more than ``MAX_GRID_POINTS`` states is
-    rejected before anything is allocated.
+    unlimited; with a finite budget, exceeding it absorbs into FAIL.
     """
-    _check_n_mu(n, mu_f)
+    _check_n_mu(n, mu_f, spare_budget)
     _validate_rates(lambda_list, n)
     if not (l > 0 and math.isfinite(l)):
         raise ParameterError("reliability parameter l must be positive and finite")
-    require_spare_budget(spare_budget)
-    if spare_budget is not None:
-        states = (n + 1) * (n + 2) // 2 * (spare_budget + 1)
-        if states > MAX_GRID_POINTS:
-            raise ParameterError(
-                f"spare_budget {spare_budget} at n = {n} gives {states} chain states, "
-                f"more than {MAX_GRID_POINTS}")
     return _model(n, lambda_list, mu_f, mu_f / (l * n), spare_budget)
 
 
-def _check_n_mu(n, mu_f):
+def require_state_count(n: int, spare_budget: int | None = None) -> None:
+    """Reject n < 1, a malformed spare budget, and a chain of more than
+    ``MAX_GRID_POINTS`` states, (n + 1)(n + 2)/2 (budget + 1) with the
+    factor 1 for unlimited spares, so n alone tops out at 1412."""
     require_int("segment count n", n, 1)
+    require_spare_budget(spare_budget)
+    states = (n + 1) * (n + 2) // 2 * (1 if spare_budget is None else spare_budget + 1)
+    if states > MAX_GRID_POINTS:
+        raise ParameterError(f"n = {n} with spare_budget {spare_budget} gives {states} "
+                             f"chain states, more than {MAX_GRID_POINTS}")
+
+
+def _check_n_mu(n, mu_f, spare_budget=None):
+    require_state_count(n, spare_budget)
     if not (mu_f > 0 and math.isfinite(mu_f)):
         raise ParameterError("mu_f must be positive and finite")
 
@@ -171,9 +177,22 @@ class _Lanes:
                 self.table[:, at_budget, can_allocate] = (
                     down, up, complete, to_fail, up + (down + complete + to_fail))
 
+    def row(self, f, c, u):
+        """Row (2 [u == budget] + [f + c < n]) (n + 1) + c of the table reshaped
+        to (5, -1, lanes): the rates of state (f, c, u) in the lanes of n
+        segments, the most.  Without a budget the budget test never holds."""
+        budget = -1 if self.budget is None else self.budget
+        n = int(self.n[0])
+        return (2 * (u == budget) + (f + c < n)) * (n + 1) + c
+
     def active(self, g: int) -> int:
         """Number of lanes with at least g segments: a prefix of the lanes."""
         return int(np.count_nonzero(self.n >= g))
+
+
+# the (f, c, u) step of the moves failure, allocation and completion; the
+# last move of the table, FAIL, absorbs, and so does f == n
+STEPS = ((0, -1, 1), (0, 1, 0), (1, -1, 0))
 
 
 def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
@@ -188,11 +207,9 @@ def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
     """
     top = 0 if lanes.budget is None else lanes.budget
     n_max, width = int(lanes.n[0]), lanes.n.size
-    # the rate table at row (2 [u == top] + [c < g]) (n_max + 1) + c
     table = lanes.table.reshape(5, -1, width)
     u_all, g_all = np.arange(top + 1)[:, None], np.arange(n_max + 1)
     level = 2 * (g_all + top - u_all)
-    at_top = 2 * (n_max + 1) * (u_all == top)
     # x[tau % 2, :, u, g, lane] holds (time, success) of the state of
     # hyperplane tau in block (g, u); c is implied by tau.  Column g = 0 is
     # where completion from g = 1 is absorbed, at success; row u = top + 1 is
@@ -215,7 +232,7 @@ def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
         # a block with no state on this hyperplane reads a clipped row c: its
         # entry is stale, but its denominator is a positive rate
         clipped = np.minimum(np.maximum(c, 0), n_max)
-        rows = at_top[us] + (n_max + 1) * (c < g_all[gs]) + clipped
+        rows = lanes.row(n_max - g_all[gs], clipped, u_all[us])
         failure, alloc, complete, _, denom = table[:, rows, :k]
         prev, cur = x[(tau - 1) % 2], x[tau % 2]
         # where the moves land: allocation, completion, failure

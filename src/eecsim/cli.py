@@ -27,6 +27,7 @@ from .chain import (
     build_failure_chain,
     build_level_dependent,
     mean_absorption_time,  # noqa: F401 -- the benchmark's tracer wraps this name
+    require_state_count,
     solve_chains,
     worker_idle_probability,
 )
@@ -216,6 +217,8 @@ def cmd_delay(config: ScenarioConfig, sim: SimConfig, args) -> int:
     variants = args.variant or ["ordered"]
     lam = rates = None
     if n_grid:
+        failing = "ordered+failure" in variants
+        require_state_count(n_grid[-1], config.reliability.spare_budget if failing else None)
         # the random rate and the rank rates share the threshold: one call
         want_random = "random" in variants
         want_ranked = any(v != "random" for v in variants)
@@ -258,6 +261,7 @@ def cmd_completion(config: ScenarioConfig, sim: SimConfig, args) -> int:
         header += ["simulated_fraction", "std_error"]
     rows = []
     if n_grid:
+        require_state_count(n_grid[-1], budget)
         ranked = ServingDensity(config.deploy, range(1, max(n_grid) + 1))
         rates = _success(config, [ranked])[0] / config.task.d2d_slot_s
         cells = list(product(l_values, n_grid))
@@ -280,6 +284,7 @@ def cmd_contour(config: ScenarioConfig, args) -> int:
     nu_w_grid = _parse_grid(args.nu_w)
     mu_f_grid = _parse_grid(args.mu_f)
     rows = []
+    require_state_count(args.n_max)
     # the kernel does not depend on the worker intensity: one call for the grid
     densities = [ServingDensity(replace(config.deploy, worker_intensity_per_m2=nu_w),
                                 range(1, args.n_max + 1)) for nu_w in nu_w_grid]

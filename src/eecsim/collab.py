@@ -18,7 +18,8 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-from .chain import build_level_dependent, solve_chains, worker_idle_probability
+from .chain import (build_level_dependent, require_state_count, solve_chains,
+                    worker_idle_probability)
 from .coverage import ServingDensity, success_table
 from .errors import ParameterError, UnservableError
 from .params import MAX_GRID_POINTS, DeploymentParams, RadioParams, TaskParams, require_finite
@@ -161,8 +162,7 @@ def bias_sweep(alphas, radio: RadioParams, deploy: DeploymentParams, task: TaskP
     call and one chain solve; the first alpha that cannot be served raises
     its UnservableError.
     """
-    if n_max < 1:
-        raise ParameterError("n_max must be >= 1")
+    require_state_count(n_max)
     alphas = list(alphas)
     mu_f = task.task_exec_rate_per_s
     nu_r = deploy.requester_intensity_per_m2

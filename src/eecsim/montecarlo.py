@@ -8,7 +8,8 @@ fades, path loss and interference sums then run over blocks of
 replications as arrays (:class:`_Block`).  Temporal side:
 :func:`empirical_delay` simulates trajectories of a batch of
 :class:`~eecsim.chain.ChainModel` by exponential races and estimates
-absorption delay and completion fractions.
+absorption delay and completion fractions, stepping each state (f, c, u) on
+the 4 (n + 1) rows of the chain's rate table (:class:`_JumpRows`).
 
 Reproducibility contract: every replication draws from its own Philox
 streams, one per purpose, keyed by numpy's seed-sequence hash of (master
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainModel, _Lanes
+from .chain import STEPS, ChainModel, _Lanes
 from .coverage import CoverageQuery, RandomSelection, RankedSelection
 from .errors import ParameterError
 from .params import DeploymentParams, RadioParams, directivity_distribution, require_int
@@ -50,9 +51,8 @@ _RESAMPLE_LIMIT = 10_000
 # replications whose stream keys are hashed, and whose trajectories step as
 # lanes, together; no result depends on it, and tests patch it to show that
 _CHUNK = 4096
-# float64 elements of serving uniforms, and of interferer uniforms, that the
-# spatial sampler holds at once, and the states of one jump-table slice; this
-# bounds their temporaries, and no result depends on it
+# float64 elements of serving, and of interferer, uniforms that the spatial
+# sampler holds at once: a bound on its temporaries that no result depends on
 _BLOCK = 1 << 15
 
 
@@ -342,53 +342,24 @@ class DelayEstimate:
     completion_fraction: float
 
 
-class _JumpTables:
-    """Jump structure of a chain as padded arrays for trajectory sampling.
-
-    The states (f, c, u) with f + c <= n are numbered in lexicographic
-    order, so the start state (0, 0, 0) is 0, and a finite budget's FAIL
-    state comes last.  Row i holds state i's exit rate and, over its at
-    most three moves of positive rate in the order of the chain's rate
-    table (:attr:`~eecsim.chain._Lanes.table`: failure, allocation,
-    completion, FAIL), the cumulative jump probabilities and targets,
-    padded with 1 and -1.  Absorbing rows have rate 0.
-    """
+class _JumpRows:
+    """Jump structure of a chain, one row per row of its rate table
+    (:meth:`~eecsim.chain._Lanes.row`), which the row's states share: the
+    exit rate (0 if absorbing) and the cumulative jump probabilities of the
+    moves (failure, allocation, completion, FAIL), -1 at a rate of 0 and 1
+    at the last positive rate.  4 (n + 1) rows, whatever the spare budget."""
 
     def __init__(self, model: ChainModel):
-        n, budget = model.n, model.spare_budget
-        levels = 1 if budget is None else budget + 1
-        span = np.arange(n + 1)
-        pair_f, pair_c = np.nonzero(span[:, None] + span <= n)
-        states = pair_f.size * levels
-        size = states + (budget is not None)
-        self.rate = np.zeros(size)
-        self.cum = np.ones((size, 3))
-        self.targets = np.full((size, 3), -1)
-        self.success = np.zeros(size, dtype=bool)
-        table = _Lanes([model]).table
-        slot = np.arange(3)
-        for lo in range(0, states, _BLOCK):
-            hi = min(lo + _BLOCK, states)
-            state = np.arange(lo, hi)
-            pair, u = np.divmod(state, levels)
-            f, c = pair_f[pair], pair_c[pair]
-            self.success[lo:hi] = f == n
-            # (failure, allocation, completion, FAIL) of every state, and where
-            # each lands: (f, c-1, u or u+1), (f, c+1, u), (f+1, c-1, u), FAIL
-            moves = table[:4, 1 * (u == levels - 1), 1 * (c < n - f), c, 0].T
-            lands = np.stack([state - levels + (budget is not None), state + levels,
-                              state + (n - f) * levels, np.full_like(state, states)], axis=1)
-            # the exit rate summed left to right, as the moves are listed, where
-            # a zero rate adds nothing; an absorbing row divides its zeros by 1
-            rate = self.rate[lo:hi] = moves[:, 0] + moves[:, 1] + moves[:, 2] + moves[:, 3]
-            cum = np.cumsum(moves / np.where(rate > 0.0, rate, 1.0)[:, None], axis=1)
-            # the moves of positive rate first, in order; the last is forced to 1
-            live = np.argsort(moves <= 0.0, axis=1, kind="stable")[:, :3]
-            count = np.count_nonzero(moves > 0.0, axis=1)[:, None]
-            self.cum[lo:hi] = np.where(slot < count - 1, np.take_along_axis(cum, live, 1), 1.0)
-            self.targets[lo:hi] = np.where(slot < count, np.take_along_axis(lands, live, 1), -1)
-        # the builders reject zero rates, so every transient state has an exit
-        self.absorbing = self.rate == 0.0
+        lanes = _Lanes([model])
+        self.n, self.row = model.n, lanes.row
+        moves = lanes.table[:4].reshape(4, -1).T
+        # the exit rate summed left to right, as the moves are listed, where
+        # a zero rate adds nothing; an absorbing row divides its zeros by 1
+        self.rate = moves[:, 0] + moves[:, 1] + moves[:, 2] + moves[:, 3]
+        cum = np.cumsum(moves / np.where(self.rate > 0.0, self.rate, 1.0)[:, None], axis=1)
+        # the last move of positive rate is forced to 1; one of rate 0 is never taken
+        cum[np.arange(len(cum)), 3 - np.argmax(moves[:, ::-1] > 0.0, axis=1)] = 1.0
+        self.cum = np.where(moves > 0.0, cum, -1.0)
 
 
 def _prefixes(keys: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -401,27 +372,33 @@ def _prefixes(keys: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return -np.log1p(-u[:, :, 0]), u[:, :, 1]
 
 
-def _trajectories(table: _JumpTables, exps: np.ndarray, moves: np.ndarray,
+def _trajectories(jumps: _JumpRows, exps: np.ndarray, moves: np.ndarray,
                   keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Delays of a chunk's replications, in order of absorption, and the count
-    of successes.  The replications step together as lanes: the sojourn is
-    the step's exponential over the exit rate, the move is the first whose
-    cumulative probability reaches the step's move uniform, and lanes that
-    outrun the prefix redraw one twice as long."""
+    of successes.  The replications step together as lanes on their states'
+    jump rows: the sojourn is the step's exponential over the exit rate, the
+    move is the first whose cumulative probability reaches the step's move
+    uniform, and it adds its step (:data:`~eecsim.chain.STEPS`) to the state.
+    Lanes end at FAIL or f == n; those that outrun the prefix redraw one
+    twice as long."""
+    df, dc, du = (np.array(d + (0,)) for d in zip(*STEPS))  # FAIL, the last move, ends the lane
     lanes = rows = np.arange(len(keys))
-    state, t = np.zeros_like(lanes), np.zeros(lanes.size)
+    (f, c, u), t = np.zeros((3, lanes.size), dtype=np.intp), np.zeros(lanes.size)
     delays, successes, step = [], 0, 0
     while lanes.size:
         if step == exps.shape[1]:
             exps, moves = _prefixes(keys[lanes], 2 * step)
             rows = np.arange(lanes.size)
-        t += exps[rows, step] / table.rate[state]
-        state = table.targets[state, np.argmax(table.cum[state] >= moves[rows, step, None], 1)]
-        done = table.absorbing[state]
+        row = jumps.row(f, c, u)
+        t += exps[rows, step] / jumps.rate[row]
+        move = np.argmax(jumps.cum[row] >= moves[rows, step, None], 1)
+        f, c, u = f + df[move], c + dc[move], u + du[move]
+        won = f == jumps.n
+        done = won | (move == len(STEPS))
         delays.append(t[done])
-        successes += int(np.count_nonzero(table.success[state[done]]))
+        successes += int(np.count_nonzero(won))
         live = ~done
-        lanes, rows, state, t = lanes[live], rows[live], state[live], t[live]
+        lanes, rows, t, f, c, u = (a[live] for a in (lanes, rows, t, f, c, u))
         step += 1
     return np.concatenate(delays), successes
 
@@ -434,17 +411,17 @@ def empirical_delay(cfg: SimConfig, models: list[ChainModel]) -> list[DelayEstim
     mean is a correctly rounded sum of per-replication delays, so neither
     chunking nor the order in which trajectories end can perturb the result.
     """
-    tables = [_JumpTables(model) for model in models]
+    jumps = [_JumpRows(model) for model in models]
     reps = cfg.replications
-    delays = [array("d") for _ in tables]
-    completed = [0] * len(tables)
+    delays = [array("d") for _ in jumps]
+    completed = [0] * len(jumps)
     # the shortest trajectory of the largest chain: n allocations, n completions
     steps = 2 * max((model.n for model in models), default=0)
     for start in range(0, reps, _CHUNK):
         keys = _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_TRAJECTORY)
         exps, moves = _prefixes(keys, steps)
-        for m, table in enumerate(tables):
-            chunk_delays, done = _trajectories(table, exps, moves, keys)
+        for m, rows in enumerate(jumps):
+            chunk_delays, done = _trajectories(rows, exps, moves, keys)
             delays[m].frombytes(chunk_delays.tobytes())
             completed[m] += done
     out = []

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from unittest import mock
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from eecsim import montecarlo
 from eecsim.chain import (
+    STEPS,
     _Lanes,
     build_baseline,
     build_failure_chain,
@@ -19,7 +20,7 @@ from eecsim.chain import (
     worker_idle_probability,
 )
 from eecsim.errors import ParameterError
-from eecsim.montecarlo import _JumpTables
+from eecsim.montecarlo import _JumpRows
 from eecsim.params import MAX_GRID_POINTS
 
 # label of the budget-exhausted absorbing state
@@ -157,70 +158,103 @@ def block(model, g, u=0):
 
 
 def state_ids(model):
-    """{state label: id} of a model's jump tables: the states (f, c, u) with
-    f + c <= n in lexicographic order, then FAIL when the budget is finite."""
+    """{state label: its row of the simulator's jump rows} over the states
+    (f, c, u) with f + c <= n in lexicographic order, u up to a finite budget
+    and 0 with unlimited spares, then FAIL, which has no row (None), when
+    the budget is finite."""
     n, budget = model.n, model.spare_budget
     levels = range(1 if budget is None else budget + 1)
-    states = [(f, c, u) for f in range(n + 1) for c in range(n - f + 1) for u in levels]
-    return {s: i for i, s in enumerate(states + ([] if budget is None else [FAIL]))}
+    row = _JumpRows(model).row
+    ids = {(f, c, u): int(row(f, c, u))
+           for f in range(n + 1) for c in range(n - f + 1) for u in levels}
+    return ids if budget is None else {**ids, FAIL: None}
+
+
+def land(model, state, move):
+    """Where a move of the rate table takes a state: FAIL, the table's last
+    move, or the state plus the move's step.  With unlimited spares the
+    label keeps u = 0, as no row reads it."""
+    if move == len(STEPS):
+        return FAIL
+    f, c, u = (a + b for a, b in zip(state, STEPS[move]))
+    return f, c, u if model.spare_budget is not None else 0
+
+
+def state_jumps(model):
+    """{state label: (jump probabilities {target state: p}, exit rate)} of
+    every state but FAIL, read from the simulator's jump rows (the embedded
+    chain it runs on): a state's row gives its rate and moves, and each
+    move's step where it lands."""
+    jumps = _JumpRows(model)
+    out = {}
+    for state, i in state_ids(model).items():
+        if i is None:
+            continue
+        moves = np.flatnonzero(jumps.cum[i] >= 0.0)
+        probs = np.diff([0.0] + jumps.cum[i, moves].tolist())
+        out[state] = ({land(model, state, m): float(p) for m, p in zip(moves, probs)},
+                      float(jumps.rate[i]))
+    return out
 
 
 def jump_row(model, state):
-    """Jump probabilities {target state: p} and exit rate at one state of
-    the simulator's jump tables (the embedded chain it runs on)."""
-    tables = _JumpTables(model)
-    ids = state_ids(model)
-    states = {i: s for s, i in ids.items()}
-    i = ids[state]
-    targets = tables.targets[i][tables.targets[i] >= 0].tolist()
-    probs = np.diff([0.0] + tables.cum[i, :len(targets)].tolist())
-    return ({states[j]: float(p) for j, p in zip(targets, probs)},
-            float(tables.rate[i]))
+    """Jump probabilities {target state: p} and exit rate at one state."""
+    return state_jumps(model)[state]
 
 
 def absorbing_states(model):
-    """The labels of the states the model's jump tables mark absorbing."""
-    tables = _JumpTables(model)
-    return {s for s, i in state_ids(model).items() if tables.absorbing[i]}
+    """The labels of the states without an exit: FAIL, and those whose jump
+    row has rate 0."""
+    jumps = state_jumps(model)
+    return {s for s in state_ids(model) if s not in jumps or jumps[s][1] == 0.0}
+
+
+def rule_moves(model, state):
+    """{target state: rate} of the moves of positive rate out of one state,
+    by the rules in the ``eecsim.chain`` docstring."""
+    f, c, u = state
+    n, budget = model.n, model.spare_budget
+    gamma = model.failure_rate_per_worker
+    fatal = budget is not None and u == budget
+    moves = {(f, c - 1, u if budget is None else u + 1): 0.0 if fatal else c * gamma,
+             (f, c + 1, u): model.offload_rates[c] if f + c < n else 0.0,
+             (f + 1, c - 1, u): c * model.segment_exec_rate,
+             FAIL: c * gamma if fatal else 0.0}
+    return {target: r for target, r in moves.items() if r > 0.0}
 
 
 def jump_tables_ref(model):
-    """The simulator's jump tables built from the rules in the
-    ``eecsim.chain`` docstring, one state at a time: each state's moves of
-    positive rate in the order failure, allocation, completion, FAIL, the
-    exit rate and cumulative probabilities summed left to right, the last
-    forced to 1, and targets numbered by :func:`state_ids`.  Returns
-    (rate, cum, targets, success, absorbing)."""
+    """The simulator's jump rows built from the rules in the ``eecsim.chain``
+    docstring, one row at a time.  Row (2 a + b) (n + 1) + c holds the
+    states with c computing, at the budget (a = 1) or not, and with a
+    segment left to allocate (b = 1) or not: the exit rate and the
+    cumulative probabilities of its moves failure, allocation, completion,
+    FAIL, summed left to right over the moves of positive rate, the last
+    forced to 1, and -1 at a move of rate 0.  Rows b = 1, c = n hold no
+    state.  Returns (rate, cum)."""
     n, budget = model.n, model.spare_budget
     mu_seg, gamma = model.segment_exec_rate, model.failure_rate_per_worker
-    ids = state_ids(model)
-    states = [s for s in ids if s != FAIL]
-    rate = np.zeros(len(ids))
-    cum = np.ones((len(ids), 3))
-    targets = np.full((len(ids), 3), -1)
-    for f, c, u in states:
-        fatal = budget is not None and u == budget
-        moves = [
-            (0.0 if fatal else c * gamma, (f, c - 1, u if budget is None else u + 1)),
-            (model.offload_rates[c] if f + c < n else 0.0, (f, c + 1, u)),
-            (c * mu_seg, (f + 1, c - 1, u)),
-            (c * gamma if fatal else 0.0, FAIL),
-        ]
-        moves = [(r, ids[target]) for r, target in moves if r > 0.0]
+    rate = np.zeros(4 * (n + 1))
+    cum = np.full((rate.size, 4), -1.0)
+    for i, (at_budget, can_allocate, c) in enumerate(
+            product((False, True), (False, True), range(n + 1))):
+        fatal = budget is not None and at_budget
+        rates = [0.0 if fatal else c * gamma,
+                 model.offload_rates[c] if can_allocate and c < n else 0.0,
+                 c * mu_seg,
+                 c * gamma if fatal else 0.0]
+        moves = [(r, m) for m, r in enumerate(rates) if r > 0.0]
         if not moves:
             continue
-        i = ids[f, c, u]
         total = running = 0.0
         for r, _ in moves:
             total += r
-        for k, (r, j) in enumerate(moves):
+        for r, m in moves:
             running += r / total
-            cum[i, k] = running
-            targets[i, k] = j
-        cum[i, len(moves) - 1] = 1.0
+            cum[i, m] = running
+        cum[i, moves[-1][1]] = 1.0
         rate[i] = total
-    success = np.array([s != FAIL and s[0] == n for s in ids])
-    return rate, cum, targets, success, rate == 0.0
+    return rate, cum
 
 
 class TestStateSpace:
@@ -233,7 +267,7 @@ class TestStateSpace:
         assert failure == to_fail == [0.0, 0.0]
         # (1, 0) is in no block: absorbing, without exits
         assert absorbing_states(model) == {(1, 0, 0)}
-        assert _JumpTables(model).targets[state_ids(model)[1, 0, 0]].tolist() == [-1, -1, -1]
+        assert _JumpRows(model).cum[state_ids(model)[1, 0, 0]].tolist() == [-1.0] * 4
 
     def test_exit_rate_interior_state(self):
         model = build_baseline(2, 0.9, 0.02)
@@ -303,12 +337,15 @@ class TestFailureChain:
 
     def test_budget_state_space(self):
         model = build_failure_chain(2, [1.0, 1.0], 0.02, 1.0, spare_budget=1)
-        tables = _JumpTables(model)
-        # 6 plain states x 2 budget levels + FAIL, all reachable from the start
+        jumps = _JumpRows(model)
+        # 6 plain states x 2 budget levels + FAIL, all reachable from the
+        # start, on 4 (n + 1) jump rows
         ids = state_ids(model)
-        assert len(ids) == tables.rate.size == 13
+        assert len(ids) == 13 and jumps.rate.size == 12
         assert FAIL in ids
-        assert ids[0, 0, 0] == 0
+        # the start state reads row c = 0 of the half below the budget that
+        # can allocate: (2 * 0 + 1) (n + 1) + 0
+        assert ids[0, 0, 0] == 3
         assert absorbing_states(model) == {(2, 0, 0), (2, 0, 1), FAIL}
         gamma = 0.02 / 2.0
         # inside the budget a failure is counted; at the budget it is fatal
@@ -328,15 +365,14 @@ class TestEmbedded:
 
     def test_rows_sum_to_one(self):
         model = build_failure_chain(3, [1.0, 0.8, 0.6], 0.03, 2.0, spare_budget=1)
-        tables = _JumpTables(model)
-        for i, (cum, targets) in enumerate(zip(tables.cum.tolist(), tables.targets.tolist())):
-            moves = sum(j >= 0 for j in targets)
-            if tables.absorbing[i]:
-                assert moves == 0 and tables.rate[i] == 0.0
+        jumps = _JumpRows(model)
+        for rate, cum in zip(jumps.rate.tolist(), jumps.cum.tolist()):
+            live = [p for p in cum if p != -1.0]
+            if rate == 0.0:
+                assert live == []
                 continue
-            assert targets[moves:] == [-1] * (3 - moves)
-            assert cum[moves - 1:] == [1.0] * (4 - moves)
-            assert all(b > a for a, b in zip([0.0] + cum[:moves], cum[:moves]))
+            assert live[-1] == 1.0
+            assert all(b > a for a, b in zip([0.0] + live, live))
 
     def test_fully_allocated_state_must_complete(self):
         model = build_baseline(3, 1.0, 0.02)
@@ -387,10 +423,10 @@ class TestSojourn:
 
     def test_absorbing_sojourn_is_zero(self):
         model = build_baseline(2, 1.0, 0.02)
-        tables = _JumpTables(model)
-        i = state_ids(model)[2, 0, 0]
-        assert tables.absorbing[i] and tables.success[i]
-        assert tables.rate[i] == 0.0
+        jumps = _JumpRows(model)
+        # f == n: the simulator ends the trajectory there, as a success
+        assert (2, 0, 0) in absorbing_states(model) and jumps.n == 2
+        assert jumps.rate[state_ids(model)[2, 0, 0]] == 0.0
 
 
 class TestMeanAbsorption:
@@ -570,49 +606,39 @@ class TestAgainstThomasReference:
 
 
 class TestAgainstJumpReference:
-    """The simulator's jump tables against :func:`jump_tables_ref`: every
-    array equal.  The targets are ids, so equal targets also put every
-    state label at the same id."""
+    """The simulator's jump rows against :func:`jump_tables_ref`: every
+    array equal.  Each state's row and the moves' steps then take it where
+    the rules say."""
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(chains())
     def test_tables_match(self, params):
         model = chain(*params)
-        tables = _JumpTables(model)
-        rate, cum, targets, success, absorbing = jump_tables_ref(model)
-        assert np.array_equal(tables.rate, rate)
-        assert np.array_equal(tables.cum, cum)
-        assert np.array_equal(tables.targets, targets)
-        assert np.array_equal(tables.success, success)
-        assert np.array_equal(tables.absorbing, absorbing)
+        jumps = _JumpRows(model)
+        rate, cum = jump_tables_ref(model)
+        assert np.array_equal(jumps.rate, rate)
+        assert np.array_equal(jumps.cum, cum)
+        for state, (probs, exit_rate) in state_jumps(model).items():
+            want = rule_moves(model, state)
+            assert probs == pytest.approx({t: r / exit_rate for t, r in want.items()},
+                                          rel=1e-14)
+            assert exit_rate == pytest.approx(math.fsum(want.values()), rel=1e-15)
 
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(chains())
-    def test_tables_match_in_small_slices(self, params):
-        # most of these chains span several slices of 50 states
-        model = chain(*params)
-        with mock.patch.object(montecarlo, "_BLOCK", 50):
-            tables = _JumpTables(model)
-        for got, want in zip((tables.rate, tables.cum, tables.targets, tables.success,
-                              tables.absorbing), jump_tables_ref(model)):
-            assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("budget", [2000, 8000])
-    def test_build_memory_is_bounded_by_the_slice(self, budget):
-        # numpy reports its buffers to tracemalloc; past the tables' own
-        # bytes, the build holds one slice's temporaries (about 8 MiB), not
-        # several arrays as long as the tables (28 and 114 MiB at these
-        # budgets when built in one piece)
+    @pytest.mark.parametrize("budget", [2000, 15000])
+    def test_simulation_memory_does_not_grow_with_the_budget(self, budget):
+        # numpy reports its buffers to tracemalloc; the simulator keeps
+        # 4 (n + 1) jump rows and its lanes, so nothing it holds grows with
+        # the chain's 990,067 states at budget 15000
         model = build_failure_chain(10, [0.9] * 10, 0.02, 1.0, spare_budget=budget)
+        cfg = montecarlo.SimConfig(seed=1, replications=20)
+        montecarlo.empirical_delay(cfg, [model])
         tracemalloc.start()
         try:
-            tables = _JumpTables(model)
+            montecarlo.empirical_delay(cfg, [model])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        own = sum(a.nbytes for a in (tables.rate, tables.cum, tables.targets,
-                                     tables.success, tables.absorbing))
-        assert peak - own < 16 * 2 ** 20
+        assert peak < 2 ** 20
 
 
 class TestHugeSpareBudget:
@@ -626,6 +652,19 @@ class TestHugeSpareBudget:
         build_failure_chain(1, [1.0], 0.02, 1.0, spare_budget=largest)
         with pytest.raises(ParameterError):
             build_failure_chain(1, [1.0], 0.02, 1.0, spare_budget=largest + 1)
+
+
+class TestHugeSegmentCount:
+    @pytest.mark.parametrize("build", [
+        lambda n: build_baseline(n, 1.0, 0.02),
+        lambda n: build_level_dependent(n, [1.0] * n, 0.02),
+        lambda n: build_failure_chain(n, [1.0] * n, 0.02, 1.0),
+    ], ids=["baseline", "level_dependent", "failure"])
+    def test_limit_counts_every_state(self, build):
+        # (n + 1)(n + 2)/2 states: 998,991 at n = 1412, 1,000,405 at 1413
+        build(1412)
+        with pytest.raises(ParameterError, match="chain states"):
+            build(1413)
 
 
 class TestWorkerIdle:

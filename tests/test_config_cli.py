@@ -434,6 +434,27 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             f"error: {section}: {field} must be finite, got {value!r}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["contour", "--nu-w", "1e-4", "--mu-f", "0.02", "--n-max", "100000000"],
+        ["contour", "--nu-w", "1e-4", "--mu-f", "0.02", "--n-max", "0"],
+        ["bias", "--alpha-step", "1", "--n-max", "100000000"],
+        ["delay", "--n", "1000000:1000000:1"],
+        ["completion", "--n", "300000:300000:1"],
+        ["completion", "--n", "1413:1413:1"]])
+    def test_huge_segment_count_exits_2_before_any_rate(self, monkeypatch, capsys, argv):
+        # past MAX_GRID_POINTS chain states (n = 1412 without a budget) the
+        # command stops before the coverage engine is asked for ranks 1..n,
+        # whose block nothing else bounds
+        def refuse(*args, **kwargs):
+            raise AssertionError("derived offloading rates")
+
+        monkeypatch.setattr(cli, "success_table", refuse)
+        monkeypatch.setattr(collab, "success_table", refuse)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "chain states" in err or "segment count n" in err
+
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency; scipy is a test oracle, and
         # importing it would double a command's start-up time

@@ -7,6 +7,7 @@ import pytest
 
 from eecsim import cli, montecarlo, params
 from eecsim.chain import (
+    STEPS,
     build_baseline,
     build_failure_chain,
     build_level_dependent,
@@ -24,7 +25,7 @@ from eecsim.montecarlo import (
     _PURPOSE_TRAJECTORY,
     SimConfig,
     _Field,
-    _JumpTables,
+    _JumpRows,
     _sinrs,
     _stream_keys,
     _streams,
@@ -55,29 +56,34 @@ def stream_rng(seed, replication, purpose):
     return np.random.Generator(np.random.Philox(key=stream_words(seed, replication, purpose)))
 
 
-def run_trajectory(tables, rng):
-    """One exponential-race trajectory on the jump tables, absorbed:
-    (delay, completed).  The scalar walk the batched estimator replaces.
+def run_trajectory(jumps, rng):
+    """One exponential-race trajectory on the jump rows, absorbed:
+    (delay, completed).  The scalar walk the batched estimator replaces:
+    the state (f, c, u) reads its row and takes the chosen move's step.
     The sojourn's log is numpy's, as the estimator takes it: ``math.log1p``
     can differ from it in the last bit."""
-    state = 0
+    f = c = u = 0
     t = 0.0
-    while not tables.absorbing[state]:
-        t += -np.log1p(-np.array([rng.random()]))[0] / tables.rate[state]
-        u = rng.random()
-        cum = tables.cum[state].tolist()
-        pick = 0
-        while cum[pick] < u:
-            pick += 1
-        state = int(tables.targets[state, pick])
-    return float(t), bool(tables.success[state])
+    while f < jumps.n:
+        row = jumps.row(f, c, u)
+        t += -np.log1p(-np.array([rng.random()]))[0] / jumps.rate[row]
+        x = rng.random()
+        cum = jumps.cum[row].tolist()
+        move = 0
+        while cum[move] < x:
+            move += 1
+        if move == len(STEPS):  # FAIL
+            return float(t), False
+        df, dc, du = STEPS[move]
+        f, c, u = f + df, c + dc, u + du
+    return float(t), True
 
 
 def one_by_one(seed, reps, model):
     """Delay estimate of one model, trajectory by trajectory on fresh
     generators: (mean, standard error, completion fraction)."""
-    tables = _JumpTables(model)
-    runs = [run_trajectory(tables, stream_rng(seed, rep, _PURPOSE_TRAJECTORY))
+    jumps = _JumpRows(model)
+    runs = [run_trajectory(jumps, stream_rng(seed, rep, _PURPOSE_TRAJECTORY))
             for rep in range(reps)]
     delays = [d for d, _ in runs]
     mean = math.fsum(delays) / reps
@@ -453,8 +459,8 @@ class TestStreamKeys:
 class TestTrajectories:
     def test_deterministic(self):
         model = build_baseline(3, 1.0, 0.02)
-        a = run_trajectory(_JumpTables(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
-        b = run_trajectory(_JumpTables(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
+        a = run_trajectory(_JumpRows(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
+        b = run_trajectory(_JumpRows(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
         assert a == b
         assert a[0] > 0.0 and a[1] is True
 
