@@ -28,7 +28,11 @@ step (:data:`STEPS`), keeping nothing per state.
 Neither f nor u ever decreases, and the mean time to absorption and the
 probability of absorbing at (n, 0) solve one linear system each, so
 :func:`solve_chains` solves both together, vectorized over every model of a
-group and with no matrix formed.  Without failure moves inside a level (a
+group and with no matrix formed.  The second moment of the absorption time
+is one more right-hand side of the same system: with N the inverse of the
+transient generator's negative, m2 = 2 N m1 (Neuts 1981), that is
+q(x) m2(x) = 2 m1(x) + sum_y rate(x, y) m2(y), and it is solved only when
+the variance is asked for.  Without failure moves inside a level (a
 finite spare budget, or no failures), state (g, u, c) reads only
 (g, u, c+1), (g-1, u, c-1) and (g, u+1, c-1), which all lie on the
 hyperplane tau - 1 of tau = 2g - c + 2(budget - u).  The solver steps tau
@@ -195,10 +199,11 @@ class _Lanes:
 STEPS = ((0, -1, 1), (0, 1, 0), (1, -1, 0))
 
 
-def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
+def _wavefront(lanes: _Lanes, moments: int) -> np.ndarray:
     """Mean time to absorption and probability of absorbing at (n, 0) from
-    the start state (0, 0, 0), per lane, for lanes whose failures never stay
-    in a level: a finite spare budget, or no failures at all.
+    the start state (0, 0, 0), per lane, and with ``moments`` 3 the second
+    moment of the time too, for lanes whose failures never stay in a level:
+    a finite spare budget, or no failures at all.
 
     State (g, u, c) then reads only (g, u, c+1), (g-1, u, c-1) and
     (g, u+1, c-1), which all lie on the hyperplane tau - 1 of
@@ -210,17 +215,17 @@ def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
     table = lanes.table.reshape(5, -1, width)
     u_all, g_all = np.arange(top + 1)[:, None], np.arange(n_max + 1)
     level = 2 * (g_all + top - u_all)
-    # x[tau % 2, :, u, g, lane] holds (time, success) of the state of
-    # hyperplane tau in block (g, u); c is implied by tau.  Column g = 0 is
-    # where completion from g = 1 is absorbed, at success; row u = top + 1 is
-    # zeros, read only by the zero failure rate at the budget.  Any other
-    # entry a state reads off its hyperplane is stale but finite, and a
-    # structural zero rate multiplies it to exactly 0: allocation at c = g,
-    # completion and failure at c = 0.
-    x = np.zeros((2, 2, top + 2, n_max + 1, width))
+    # x[tau % 2, :, u, g, lane] holds (time, success[, second moment]) of the
+    # state of hyperplane tau in block (g, u); c is implied by tau.  Column
+    # g = 0 is where completion from g = 1 is absorbed, at success; row
+    # u = top + 1 is zeros, read only by the zero failure rate at the budget.
+    # Any other entry a state reads off its hyperplane is stale but finite,
+    # and a structural zero rate multiplies it to exactly 0: allocation at
+    # c = g, completion and failure at c = 0.
+    x = np.zeros((2, moments, top + 2, n_max + 1, width))
     x[:, 1, :top + 1, 0] = 1.0
-    # adds 1 to the time and nothing to the success right-hand side
-    one = np.array([1.0, 0.0])[:, None, None, None]
+    # adds 1 to the time and nothing to the other right-hand sides
+    one = np.array([1.0, 0.0, 0.0][:moments])[:, None, None, None]
     for tau in range(1, 2 * (n_max + top) + 1):
         # the window of blocks holding every state with 0 <= c <= g
         half = -(-tau // 2)
@@ -242,16 +247,32 @@ def _wavefront(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
         # the Thomas sweep's arithmetic with no in-level move, in its order
         rhs = one + failure * failed + complete * done
         cur[:, us, gs, :k] = (rhs + alloc * after) / denom
+        if moments == 3:
+            # the second moment's right-hand side 2 m1 reads the time just solved
+            cur[2, us, gs, :k] += 2.0 * cur[0, us, gs, :k] / denom
     # a lane's start state (n, 0, 0) lies on hyperplane 2(n + top), even
-    time, success = x[0][:, 0, lanes.n, np.arange(width)]
-    return time, success
+    return x[0][:, 0, lanes.n, np.arange(width)]
 
 
-def _thomas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(rhs, level, down, up, out):
+    """Solve one level's tridiagonal system for every right-hand side of
+    ``rhs`` (rows c first), forward then back, into ``out``; ``rhs`` is
+    overwritten by its eliminated form."""
+    y = np.zeros(rhs.shape[1:])
+    for c in range(rhs.shape[0]):
+        rhs[c] += down[c] * y
+        y = rhs[c] / level[c]
+    x = np.zeros_like(y)
+    for c in range(rhs.shape[0] - 1, -1, -1):
+        x = out[c] = (rhs[c] + up[c] * x) / level[c]
+
+
+def _thomas(lanes: _Lanes, moments: int) -> np.ndarray:
     """Mean time to absorption and probability of absorbing at (n, 0) from
-    the start state (0, 0, 0), per lane, for unlimited-spare lanes with
-    failures: a failure c -> c-1 stays in the level, so each level g is one
-    tridiagonal system in c, solved by a Thomas sweep.
+    the start state (0, 0, 0), per lane, and with ``moments`` 3 the second
+    moment of the time too, for unlimited-spare lanes with failures: a
+    failure c -> c-1 stays in the level, so each level g is one tridiagonal
+    system in c, solved by a Thomas sweep.
 
     Row c reads  q x[c] - down x[c-1] - up x[c+1] = rhs[c],
     q = up + down + complete;  eliminating x[c-1] leaves
@@ -260,7 +281,8 @@ def _thomas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
     difference that could cancel.  The rates of row c < g are the same in
     every level, so the elimination runs once over c = 0..n_max and every
     level reads its denominators; at row c = g, which cannot allocate, the
-    denominator is ``leave`` alone.
+    denominator is ``leave`` alone.  The second moment's right-hand side
+    2 m1 needs the level's times first, so it takes a second sweep.
     """
     down, up, complete, _, _ = lanes.table[:, 0, 1]
     leave, denom = np.empty((2,) + up.shape)
@@ -269,58 +291,61 @@ def _thomas(lanes: _Lanes) -> tuple[np.ndarray, np.ndarray]:
         leave[c] = complete[c] + down[c] * h
         denom[c] = up[c] + leave[c]
         h = leave[c] / denom[c]
-    time, success = np.empty((2, lanes.n.size))
+    start = np.empty((moments, lanes.n.size))
     for g in range(1, int(lanes.n[0]) + 1):
         k = lanes.active(g)
         level = denom[:g + 1, :k].copy()
         level[g] = leave[g, :k]
-        # (time, success) where completion lands, in the row c it leaves
-        # from; completion from level g = 1 is absorbed, at success
-        done = np.zeros((g + 1, 2, k))
+        rates = (level, down[:g + 1, :k], up[:g + 1, :k])
+        # the values where completion lands, in the row c it leaves from;
+        # completion from level g = 1 is absorbed, at success
+        done = np.zeros((g + 1, moments, k))
         if g == 1:
             done[1:, 1] = 1.0
         else:
             done[1:] = solved[:, :, :k]
         rhs = complete[:g + 1, None, :k] * done
         rhs[:, 0] += 1.0
-        y = np.zeros((2, k))
-        for c in range(g + 1):
-            rhs[c] += down[c, :k] * y
-            y = rhs[c] / level[c]
-        solved = np.empty((g + 1, 2, k))
-        x = np.zeros((2, k))
-        for c in range(g, -1, -1):
-            x = solved[c] = (rhs[c] + up[c, :k] * x) / level[c]
+        solved = np.empty((g + 1, moments, k))
+        _sweep(rhs[:, :2], *rates, solved[:, :2])
+        if moments == 3:
+            _sweep(2.0 * solved[:, 0] + rhs[:, 2], *rates, solved[:, 2])
         ending = slice(lanes.active(g + 1), k)
-        time[ending], success[ending] = solved[0, :, ending]
-    return time, success
+        start[:, ending] = solved[0, :, ending]
+    return start
 
 
-def solve_chains(models) -> tuple[list[float], list[float]]:
-    """Mean absorption time and completion probability of every model.
+def solve_chains(models, variances: bool = False) -> tuple[list[float], ...]:
+    """Mean absorption time and completion probability of every model, and
+    with ``variances`` the variance of the absorption time as a third list.
 
     Models are solved in groups of one spare budget: one wavefront solve in
     tau order for each group whose failures never stay in a level (a finite
     budget, or no failures), and one Thomas sweep over the levels for the
     unlimited-spare models with failures, whose in-level failure moves make
     each level a tridiagonal system.  Every value is bitwise the one the
-    model gets solved alone.  The completion probability is clipped to
-    [0, 1] and is 1 up to rounding with unlimited spares.
+    model gets solved alone, and the times and completion probabilities are
+    bitwise the same with or without ``variances``.  The variance is the
+    second moment, solved as one more right-hand side, less the squared
+    mean, clipped at 0.  The completion probability is clipped to [0, 1] and
+    is 1 up to rounding with unlimited spares.
     """
     models = list(models)
-    times = [0.0] * len(models)
-    completions = [0.0] * len(models)
+    moments = 3 if variances else 2
+    solved = np.empty((moments, len(models)))
     groups: dict = {}
     for i, model in enumerate(models):
         in_level = model.spare_budget is None and model.failure_rate_per_worker > 0.0
         groups.setdefault((model.spare_budget, in_level), []).append(i)
     for (_, in_level), members in groups.items():
         lanes = _Lanes([models[i] for i in members])
-        time, success = (_thomas if in_level else _wavefront)(lanes)
-        for lane, j in enumerate(lanes.order):
-            times[members[j]] = float(time[lane])
-            completions[members[j]] = min(max(float(success[lane]), 0.0), 1.0)
-    return times, completions
+        solved[:, np.array(members)[lanes.order]] = (
+            _thomas if in_level else _wavefront)(lanes, moments)
+    times, success = solved[:2].tolist()
+    completions = [min(max(p, 0.0), 1.0) for p in success]
+    if not variances:
+        return times, completions
+    return times, completions, [max(m2 - t * t, 0.0) for t, m2 in zip(times, solved[2].tolist())]
 
 
 def mean_absorption_time(model: ChainModel) -> float:

@@ -173,6 +173,16 @@ def _success(config: ScenarioConfig, densities) -> list:
     return [row[0] for row in table]
 
 
+def _require_nonzero_ranks(rates: np.ndarray) -> None:
+    """Reject rank rates that underflow to zero, before any chain is built:
+    a deep rank's success probability can round to 0 (from rank 386 at the
+    table1 preset), and no chain allocates at a zero rate."""
+    zero = np.flatnonzero(rates <= 0.0)
+    if zero.size:
+        raise UnservableError(f"the rank-{zero[0] + 1} success probability underflows "
+                              f"to 0: at most n = {zero[0]} segments can be served")
+
+
 def _delay_model(config: ScenarioConfig, variant: str, n: int, lam: float | None,
                  rates: np.ndarray | None):
     mu_f = config.task.task_exec_rate_per_s
@@ -227,6 +237,8 @@ def cmd_delay(config: ScenarioConfig, sim: SimConfig, args) -> int:
         found = [p / config.task.d2d_slot_s for p in _success(config, densities)]
         lam = found[0] if want_random else None
         rates = found[-1] if want_ranked else None
+        if want_ranked:
+            _require_nonzero_ranks(rates)
     header = ["variant", "n", "mean_delay_s", "is_optimal"]
     if args.simulate:
         header += ["simulated_mean_s", "std_error_s", "completion_fraction"]
@@ -264,6 +276,7 @@ def cmd_completion(config: ScenarioConfig, sim: SimConfig, args) -> int:
         require_state_count(n_grid[-1], budget)
         ranked = ServingDensity(config.deploy, range(1, max(n_grid) + 1))
         rates = _success(config, [ranked])[0] / config.task.d2d_slot_s
+        _require_nonzero_ranks(rates)
         cells = list(product(l_values, n_grid))
         models = [build_failure_chain(n, rates[:n].tolist(), config.task.task_exec_rate_per_s,
                                       l, spare_budget=budget) for l, n in cells]
@@ -315,90 +328,12 @@ def cmd_bias(config: ScenarioConfig, args) -> int:
     return 0
 
 
-# B_2k / (2k (2k - 1)), k = 1..5: the Stirling series of log Gamma, whose
-# next term is below 1e-17 from x = 20 on
-_STIRLING = (1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0)
-
-
-def _stirling_remainder(x: float) -> float:
-    """log Gamma(x) - (x - 1/2) log x + x - log(2 pi) / 2, for x >= 20."""
-    inv2 = 1.0 / (x * x)
-    total = 0.0
-    for c in reversed(_STIRLING):
-        total = total * inv2 + c
-    return total / x
-
-
-def _t_tail_fraction(df: int, t2: float) -> float:
-    """G in P(T > t) = t f(t) / (df G), for Student's T with density f.
-
-    1 / G is the incomplete-beta continued fraction of
-    P(T > t) = I_x(a, 1/2) / 2, a = df / 2, x = df / (df + t^2):
-    G = 1 + d_1 / (1 + d_2 / (1 + ...)), evaluated as its odd part
-    (1 + d_1) - d_1 d_2 / ((1 + d_2 + d_3) - d_3 d_4 / (...)) by Lentz's
-    method.  Each 1 + d_{2m+1} is summed from positive terms, with 1 - x
-    read as y = t^2 / (df + t^2): forming 1 - x would lose log10(df)
-    digits as x -> 1.
-    """
-    a, b = 0.5 * df, 0.5
-    x, y = df / (df + t2), t2 / (df + t2)
-
-    def odd(m):  # d_{2m+1} and 1 + d_{2m+1}
-        den = (a + 2 * m) * (a + 2 * m + 1)
-        return (-(a + m) * (a + b + m) * x / den,
-                (a * (2 * m + 1 - b) + m * (3 * m + 2 - b) + (a + m) * (a + b + m) * y) / den)
-
-    d_prev, g = odd(0)
-    c, d = g, 0.0
-    for m in range(1, 200):
-        d_even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
-        d_odd, one_plus_odd = odd(m)
-        num, den = -d_prev * d_even, one_plus_odd + d_even
-        d = 1.0 / (den + num * d)
-        c = den + num / c
-        g *= c * d
-        if abs(c * d - 1.0) < 1e-15:
-            return g
-        d_prev = d_odd
-    raise ArithmeticError(f"t tail fraction did not converge at df={df}")
-
-
-def _t_upper_quantile(df: int, q: float) -> float:
-    """The t with P(T > t) = q for Student's T on ``df`` degrees of freedom.
-
-    Meant for small tails: at validate's q = 0.00135 (t >= 3) the fraction
-    converges in under 25 steps, and larger q need more.  Newton's method
-    runs on log P(T > t) as a function of s = log t, whose slope is -df G
-    (see :func:`_t_tail_fraction`).  The tail is close to a power of t for
-    small df and to a Gaussian for large df, and a start at t = 3
-    converges in a few steps for both.
-    """
-    a = 0.5 * df
-    if a < 20.0:
-        # log(Gamma(a + 1/2) / (Gamma(a) sqrt(df pi))), the density's scale
-        log_scale = math.lgamma(a + 0.5) - math.lgamma(a) - 0.5 * math.log(df * math.pi)
-    else:
-        # the same from Stirling's series: the two lgamma values would cancel
-        # to 8 digits at df = 10^7
-        log_scale = (a * math.log1p(0.5 / a) - 0.5 - 0.5 * math.log(2.0 * math.pi)
-                     + _stirling_remainder(a + 0.5) - _stirling_remainder(a))
-    s = math.log(3.0)
-    for _ in range(50):
-        t2 = math.exp(2.0 * s)
-        g = _t_tail_fraction(df, t2)
-        log_tail = s + log_scale - (a + 0.5) * math.log1p(t2 / df) - math.log(df * g)
-        step = (log_tail - math.log(q)) / (df * g)
-        s += step
-        if abs(step) < 1e-12:
-            return math.exp(s)
-    raise ArithmeticError(f"t quantile did not converge at df={df}")
-
-
 def _validate_rows(config: ScenarioConfig, sim: SimConfig):
     """All analytic-versus-simulation checks; returns (rows, all_pass)."""
     reps = sim.replications
     if reps < 2:
-        # the delay checks need a standard error estimated from the sample
+        # every 3-sigma row leans on a sample mean being near normal, which
+        # the mean of one draw is not
         raise ConfigError(f"validate needs at least 2 replications, got {reps}")
     rows = []
 
@@ -410,9 +345,6 @@ def _validate_rows(config: ScenarioConfig, sim: SimConfig):
         return ok
 
     all_ok = True
-    # small-sample mean checks need the 3-sigma-equivalent t quantile, since
-    # the standard error is itself estimated from the replications
-    t_factor = _t_upper_quantile(reps - 1, 0.00135)
 
     # every analytic success probability below, from one engine call
     n_values = (1, 2, 4, 6)
@@ -453,12 +385,14 @@ def _validate_rows(config: ScenarioConfig, sim: SimConfig):
     models = [_delay_model(config, variant, n, lam, rates) for variant, n in delay_cells]
     models += [build_failure_chain(n, rates[:n].tolist(), mu_f, l, spare_budget=0)
                for n in completion_ns]
-    times, completions = solve_chains(models)
+    times, completions, variances = solve_chains(models, variances=True)
     sims = empirical_delay(sim, models)
 
-    for (variant, n), est, analytic in zip(delay_cells, sims, times):
-        all_ok &= add(f"delay/{variant}/n={n}", analytic, est.mean_delay_s,
-                      est.std_error_s, t_factor * est.std_error_s)
+    # known-null test: the standard error of the mean delay comes from the
+    # chain's analytic variance, not from the sample
+    for (variant, n), est, analytic, var in zip(delay_cells, sims, times, variances):
+        se = math.sqrt(var / reps)
+        all_ok &= add(f"delay/{variant}/n={n}", analytic, est.mean_delay_s, se, 3.0 * se)
 
     # completion probability against the no-spare closed form and simulation
     for n, est, analytic in zip(completion_ns, sims[len(delay_cells):],

@@ -24,7 +24,8 @@ class QuadratureError(RuntimeError):
 
 class UnservableError(RuntimeError):
     """The congestion-adjusted deployment leaves essentially no line-of-sight
-    worker mass, so the edge tier cannot serve requests."""
+    worker mass, so the edge tier cannot serve requests, or none at a rank
+    a command needs."""
 
     def __init__(self, message: str, diagnostic: dict | None = None):
         super().__init__(message)

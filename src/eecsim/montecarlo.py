@@ -427,7 +427,7 @@ def empirical_delay(cfg: SimConfig, models: list[ChainModel]) -> list[DelayEstim
     out = []
     for d, done in zip(delays, completed):
         mean = math.fsum(d) / reps
-        se = (math.sqrt(math.fsum((x - mean) ** 2 for x in d) / (reps - 1) / reps)
+        se = (math.sqrt(math.fsum(np.square(np.frombuffer(d) - mean)) / (reps - 1) / reps)
               if reps > 1 else math.inf)
         out.append(DelayEstimate(mean_delay_s=mean, std_error_s=se,
                                  completion_fraction=done / reps))

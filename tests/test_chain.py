@@ -32,10 +32,12 @@ def closed_form_completion(n, l):
 
 
 def dense_oracle(model):
-    """Mean absorption time and success probability from (0, 0), by dense
-    linear solves on a rate matrix Q assembled here from the rules in the
-    ``eecsim.chain`` docstring, independently of its rate table:
-    -Q_TT m = 1 and -Q_TT rho = (rates into the success states)."""
+    """Mean absorption time, success probability and variance of the
+    absorption time from (0, 0), by dense linear solves on a rate matrix Q
+    assembled here from the rules in the ``eecsim.chain`` docstring,
+    independently of its rate table: -Q_TT m = 1,
+    -Q_TT rho = (rates into the success states) and -Q_TT m2 = 2 m, the
+    variance being m2 - m^2."""
     n, budget = model.n, model.spare_budget
     mu_seg, gamma = model.segment_exec_rate, model.failure_rate_per_worker
     failure_counts = range(1 if budget is None else budget + 1)
@@ -69,7 +71,8 @@ def dense_oracle(model):
     A = -Q / exit_rates[:, None]
     time = np.linalg.solve(A, 1.0 / exit_rates)
     success = np.linalg.solve(A, into_success / exit_rates)
-    return time[0], success[0]
+    second = np.linalg.solve(A, 2.0 * time / exit_rates)
+    return time[0], success[0], second[0] - time[0] ** 2
 
 
 def table_block(lanes, g, u):
@@ -462,7 +465,7 @@ class TestMeanAbsorption:
 
     def test_agrees_with_generator_route(self):
         model = build_failure_chain(4, [1.3, 1.0, 0.8, 0.6], 0.03, 2.0)
-        want, _ = dense_oracle(model)
+        want, _, _ = dense_oracle(model)
         assert mean_absorption_time(model) == pytest.approx(want, rel=1e-12)
 
     def test_unreachable_absorption_detected(self):
@@ -508,7 +511,7 @@ class TestCompletionProbability:
 
     def test_agrees_with_rate_matrix_route(self):
         model = build_failure_chain(3, [1.1, 0.9, 0.7], 0.04, 1.5, spare_budget=1)
-        want_time, want_success = dense_oracle(model)
+        want_time, want_success, _ = dense_oracle(model)
         assert completion_probability(model) == pytest.approx(want_success, abs=1e-12)
         assert mean_absorption_time(model) == pytest.approx(want_time, rel=1e-12)
 
@@ -553,12 +556,17 @@ class TestAgainstDenseOracle:
                   for n, rates, mu_f, l, budget in batch]
         more_spares = [chain(n, rates, mu_f, l, budget + 1)
                        for n, rates, mu_f, l, budget in batch if budget is not None]
-        times, completions = solve_chains(models + faster + more_spares)
+        every = models + faster + more_spares
+        times, completions, variances = solve_chains(every, variances=True)
+        # the second moment leaves the time and success arithmetic alone
+        assert (times, completions) == solve_chains(every)  # bitwise
         spare = iter(completions[2 * len(models):])
         for i, model in enumerate(models):
-            want_time, want_success = dense_oracle(model)
+            want_time, want_success, want_variance = dense_oracle(model)
             assert times[i] == mean_absorption_time(model)  # bitwise
             assert times[i] == pytest.approx(want_time, rel=1e-12)
+            assert variances[i] == solve_chains([model], variances=True)[2][0]  # bitwise
+            assert variances[i] == pytest.approx(want_variance, rel=1e-12)
             assert times[len(models) + i] <= times[i]
             if model.spare_budget is None:
                 continue
@@ -569,6 +577,7 @@ class TestAgainstDenseOracle:
 
     def test_empty_batch(self):
         assert solve_chains([]) == ([], [])
+        assert solve_chains([], variances=True) == ([], [], [])
 
 
 def ranked_rates(n):

@@ -9,7 +9,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from scipy.special import stdtrit
 
 from eecsim import chain, cli, collab, coverage, montecarlo
 from eecsim.chain import worker_idle_probability
@@ -370,6 +369,29 @@ class TestValidateCommand:
         assert worker_idle_probability(0.02, 1e-4, 7e-4) == pytest.approx(
             0.12281, abs=1e-5)
 
+    def test_delay_rows_are_known_null_tests(self, tmp_path, monkeypatch):
+        # each delay row's standard error is the chain's analytic one,
+        # sqrt(var / reps), not the sample's, and its tolerance is 3 of them
+        solved = []
+        original = cli.solve_chains
+
+        def recording(models, **kwargs):
+            solved.append(original(models, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "solve_chains", recording)
+        out = tmp_path / "report.csv"
+        assert main(["validate", "--reps", "400", "--seed", "5", "--out", str(out)]) == 0
+        [(times, _, variances)] = solved
+        _, header, rows = read_csv(out)
+        delay_rows = [r for r in rows if r[0].startswith("delay/")]
+        assert len(delay_rows) == 12
+        for row, time, variance in zip(delay_rows, times, variances):
+            std_error = float(row[header.index("std_error")])
+            assert float(row[header.index("analytic")]) == time
+            assert std_error == math.sqrt(variance / 400)
+            assert float(row[header.index("tolerance")]) == 3.0 * std_error
+
     def test_tiny_replication_count_still_passes(self, tmp_path, scenario):
         # confidence intervals widen as replications drop; at 10 samples a
         # 3-sigma check still rejects ~0.3% of seeds, so this pins the
@@ -377,27 +399,6 @@ class TestValidateCommand:
         out = tmp_path / "tiny.csv"
         assert main(["validate", "--reps", "10",
                      "--seed", str(scenario.sim.seed), "--out", str(out)]) == 0
-
-
-class TestTQuantile:
-    """validate's 3-sigma-equivalent t factor, against scipy as the oracle."""
-
-    Q = 0.00135
-
-    def test_matches_stdtrit(self):
-        for df in [*range(1, 101), 399, 1999, 2499, 9999, 99999, 10 ** 6, 10 ** 7]:
-            want = float(stdtrit(df, 1.0 - self.Q))
-            rel = 1e-12 if df <= 10 ** 5 else 1e-11
-            assert cli._t_upper_quantile(df, self.Q) == pytest.approx(want, rel=rel), df
-
-    @pytest.mark.parametrize("q", [0.00135, 0.01, 0.025])
-    def test_closed_forms(self, q):
-        # df = 1: tan(pi (1/2 - q)), written 1 / tan(pi q) to avoid the
-        # rounding of the argument near pi / 2
-        assert cli._t_upper_quantile(1, q) == pytest.approx(
-            1.0 / math.tan(math.pi * q), rel=1e-14)
-        assert cli._t_upper_quantile(2, q) == pytest.approx(
-            (1.0 - 2.0 * q) / math.sqrt(2.0 * q * (1.0 - q)), rel=1e-14)
 
 
 class TestCliErrors:
@@ -455,6 +456,24 @@ class TestCliErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "chain states" in err or "segment count n" in err
 
+    @pytest.mark.parametrize("argv", [["delay", "--n", "1:1000:1"],
+                                      ["completion", "--n", "400:400:1"]],
+                             ids=lambda argv: argv[0])
+    def test_rank_underflow_names_the_rank(self, monkeypatch, tmp_path, capsys, argv):
+        # at the preset the rank-385 success probability is about 1e-323 and
+        # every deeper one rounds to 0: the command stops before any chain
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a chain")
+
+        for name in ("build_baseline", "build_level_dependent", "build_failure_chain"):
+            monkeypatch.setattr(cli, name, refuse)
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the rank-386 success probability underflows to 0: "
+            "at most n = 385 segments can be served\n")
+        assert not out.exists()
+
     def test_import_loads_no_scipy(self):
         # numpy is the only runtime dependency; scipy is a test oracle, and
         # importing it would double a command's start-up time
@@ -495,8 +514,8 @@ class TestCliErrors:
             "error: replications must be an integer from 1 to 2**32\n")
 
     def test_validate_needs_two_replications(self, tmp_path, capsys):
-        # at one replication no delay standard error exists, and an infinite
-        # tolerance would pass whatever the simulator returned
+        # every 3-sigma row leans on a sample mean being near normal, which
+        # the mean of one draw is not
         out = tmp_path / "one.csv"
         assert main(["validate", "--reps", "1", "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
