@@ -200,7 +200,10 @@ def _delay_model(config: ScenarioConfig, variant: str, n: int, lam: float | None
 def cmd_coverage(config: ScenarioConfig, sim: SimConfig, args) -> int:
     xi_grid = _parse_grid(args.xi)
     selections = [_parse_selection(s) for s in (args.selection or ["random"])]
-    radio = config.radio if args.rl is None else replace(config.radio, los_radius_m=args.rl)
+    if args.rl is not None:
+        # the metadata hashes the scenario evaluated, override included
+        config = replace(config, radio=replace(config.radio, los_radius_m=args.rl))
+    radio = config.radio
     rows = []
     header = ["selection", "los_radius_m", "xi_db", "success_probability"]
     if args.simulate:
@@ -231,6 +234,10 @@ def cmd_delay(config: ScenarioConfig, sim: SimConfig, args) -> int:
         require_state_count(n_grid[-1], config.reliability.spare_budget if failing else None)
         # the random rate and the rank rates share the threshold: one call
         want_random = "random" in variants
+        if want_random and config.deploy.mean_los_workers(config.radio.los_radius_m) == 0.0:
+            # the random-selection rate is conditioned on a LoS worker existing
+            raise UnservableError("no LoS workers (worker_intensity_per_m2 is 0): random "
+                                  "selection has no worker to offload to")
         want_ranked = any(v != "random" for v in variants)
         densities = ([ServingDensity(config.deploy)] if want_random else []) + (
             [ServingDensity(config.deploy, range(1, max(n_grid) + 1))] if want_ranked else [])

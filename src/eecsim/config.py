@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import sys
+from dataclasses import asdict, dataclass, fields, replace
 
 from .collab import MecParams
 from .errors import ConfigError, ParameterError
@@ -93,7 +94,15 @@ def resolve_config(document: dict | None = None) -> ScenarioConfig:
             raise ConfigError(
                 f"section {section!r}: unknown key(s) {sorted(bad)}; "
                 f"known keys are {sorted(merged)}")
-        merged.update(overrides)
+        floats = {f.name for f in fields(cls) if f.type == "float"}
+        for key, value in overrides.items():
+            if isinstance(value, bool):
+                raise ConfigError(f"{section}: {key} must be a number, got {json.dumps(value)}")
+            # JSON may spell 300.0 as 300: one float, so one hash and one CSV
+            # cell; an integer past the float range is left to the finiteness check
+            if key in floats and isinstance(value, int) and abs(value) <= sys.float_info.max:
+                value = float(value)
+            merged[key] = value
         try:
             updates[section] = cls(**merged)
         except (ParameterError, TypeError) as exc:

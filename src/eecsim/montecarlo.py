@@ -12,13 +12,15 @@ absorption delay and completion fractions, stepping each state (f, c, u) on
 the 4 (n + 1) rows of the chain's rate table (:class:`_JumpRows`).
 
 Reproducibility contract: every replication draws from its own Philox
-streams, one per purpose, keyed by numpy's seed-sequence hash of (master
-seed, replication, purpose) that :func:`_stream_keys` computes for a chunk
-at once; both samplers rewind one generator to each key (:func:`_streams`).
-Aggregation is exact (integer counts, correctly rounded float sums), so
-results do not depend on chunking.  The models of one :func:`empirical_delay`
-call step a chunk's replications as lockstep numpy lanes over each stream's
-one shared prefix, so a model's estimate is the same alone or in any batch.
+streams, one per purpose.  Philox is counter-based (Salmon et al., SC 2011):
+the key is seed + (purpose << 64), and replication r starts at counter
+r << 128, so r sits in counter word 2 and the 2**128 blocks below it are
+its stream alone.  Both samplers rewind one generator's counter to each
+replication in turn (:func:`_streams`).  Aggregation is exact (integer
+counts, correctly rounded float sums), so results do not depend on
+chunking.  The models of one :func:`empirical_delay` call step a chunk's
+replications as lockstep numpy lanes over each stream's one shared prefix,
+so a model's estimate is the same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ _MAX_SEED = 2 ** 64 - 1
 _PURPOSE_SPATIAL = 1
 _PURPOSE_TRAJECTORY = 2
 _RESAMPLE_LIMIT = 10_000
-# replications whose stream keys are hashed, and whose trajectories step as
-# lanes, together; no result depends on it, and tests patch it to show that
+# replications whose stream counters are built, and whose trajectories step
+# as lanes, together; no result depends on it, and tests patch it to show that
 _CHUNK = 4096
 # float64 elements of serving, and of interferer, uniforms that the spatial
 # sampler holds at once: a bound on its temporaries that no result depends on
@@ -65,7 +67,8 @@ class SimConfig:
 
     def __post_init__(self):
         require_int("seed", self.seed, 0, _MAX_SEED)
-        # a replication index past 32 bits is an entropy word _stream_keys lacks
+        # replication r is counter word 2, so every r below 2**64 has its own
+        # stream; the bound is on the run's length, not on the stream layout
         require_int("replications", self.replications, 1, 2 ** 32)
 
 
@@ -91,40 +94,6 @@ def default_arena_radius(radio: RadioParams, deploy: DeploymentParams) -> float:
     coeff = 2.0 * math.pi * nu_r * mean_gain * radio.intercept_nlos / (a_n - 2.0)
     tail_radius = (coeff / budget) ** (1.0 / (a_n - 2.0))
     return min(max(floor, tail_radius), 100.0 * rl)
-
-
-def _hasher(const: int, mult: int):
-    """The hashmix of numpy's seed sequence (O'Neill, "Developing a seed_seq
-    Alternative", 2015) on uint32 arrays, with its running constant."""
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & 0xFFFFFFFF
-        value = value * const
-        return value ^ value >> 16
-    return hashmix
-
-
-def _stream_keys(seed: int, start: int, stop: int, purpose: int) -> np.ndarray:
-    """Row i: numpy's seed-sequence ``generate_state(2, np.uint64)`` for the
-    entropy (seed, start + i, purpose).  The entropy words (seed words from
-    the lowest, replication, purpose) fill the four-word pool, every pool
-    word is mixed into every other, and four words are drawn; a replication
-    index below 2**32 is one word, so the pool never takes a fifth."""
-    reps = np.arange(start, stop, dtype=np.uint32)
-    seed_words = [seed >> shift & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    words = [np.full_like(reps, w) for w in seed_words] + [reps, np.full_like(reps, purpose)]
-    words += [np.zeros_like(reps)] * (4 - len(words))
-    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(word) for word in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
-                pool[dst] = mixed ^ mixed >> 16
-    draw = _hasher(0x8B51F9DD, 0x58F38DED)
-    out = [draw(word).astype(np.uint64) for word in pool]
-    return np.stack([out[1] << 32 | out[0], out[3] << 32 | out[2]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -276,24 +245,26 @@ class _Block:
         return sinr
 
 
-def _streams(keys: np.ndarray):
-    """One Philox generator, rewound in turn to each key's stream (its two
-    64-bit key words, counter at zero, no buffered output): the same draws
-    as a fresh generator per key, without building one."""
-    bitgen = np.random.Philox(key=0)
+def _streams(seed: int, purpose: int, reps: np.ndarray):
+    """One Philox generator keyed by (seed, purpose), rewound in turn to each
+    replication's stream (counter rep << 128, no buffered output): the same
+    draws as a fresh generator per replication, without building one."""
+    bitgen = np.random.Philox(key=seed + (purpose << 64))
     rng = np.random.Generator(bitgen)
     state = bitgen.state
-    for key in keys:
-        state["state"]["key"] = key
+    counters = np.zeros((len(reps), 4), dtype=np.uint64)
+    counters[:, 2] = reps
+    for counter in counters:
+        state["state"]["counter"] = counter
         bitgen.state = state
         yield rng
 
 
-def _sinrs(field: _Field, keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Serving-link SINR of each keyed replication (:func:`_streams`), and the redraw count."""
+def _sinrs(field: _Field, seed: int, reps: np.ndarray) -> tuple[np.ndarray, int]:
+    """Serving-link SINR of each replication (:func:`_streams`), and the redraw count."""
     block = _Block(field)
     out, redraws = [], 0
-    for rng in _streams(keys):
+    for rng in _streams(seed, _PURPOSE_SPATIAL, reps):
         n_w, redrawn = field.counts(rng)
         redraws += redrawn
         if block.full():
@@ -322,8 +293,7 @@ def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
     resampled = 0
     reps = cfg.replications
     for start in range(0, reps, _CHUNK):
-        keys = _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_SPATIAL)
-        sinrs, redraws = _sinrs(field, keys)
+        sinrs, redraws = _sinrs(field, cfg.seed, np.arange(start, min(start + _CHUNK, reps)))
         resampled += redraws
         # replications above each threshold: those past its right insertion point
         counts += sinrs.size - np.searchsorted(np.sort(sinrs), thresholds, side="right")
@@ -362,18 +332,19 @@ class _JumpRows:
         self.cum = np.where(moves > 0.0, cum, -1.0)
 
 
-def _prefixes(keys: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``steps`` steps of each key's stream: step k reads uniforms
-    2k and 2k + 1.  Returns the sojourns as unit exponentials ``-log1p(-U)``
-    of the first, and the move uniforms, one row per key."""
-    u = np.empty((len(keys), steps, 2))
-    for row, rng in zip(u, _streams(keys)):
+def _prefixes(seed: int, reps: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``steps`` steps of each replication's trajectory stream:
+    step k reads uniforms 2k and 2k + 1.  Returns the sojourns as unit
+    exponentials ``-log1p(-U)`` of the first, and the move uniforms, one row
+    per replication."""
+    u = np.empty((len(reps), steps, 2))
+    for row, rng in zip(u, _streams(seed, _PURPOSE_TRAJECTORY, reps)):
         rng.random(out=row)
     return -np.log1p(-u[:, :, 0]), u[:, :, 1]
 
 
 def _trajectories(jumps: _JumpRows, exps: np.ndarray, moves: np.ndarray,
-                  keys: np.ndarray) -> tuple[np.ndarray, int]:
+                  seed: int, reps: np.ndarray) -> tuple[np.ndarray, int]:
     """Delays of a chunk's replications, in order of absorption, and the count
     of successes.  The replications step together as lanes on their states'
     jump rows: the sojourn is the step's exponential over the exit rate, the
@@ -382,12 +353,12 @@ def _trajectories(jumps: _JumpRows, exps: np.ndarray, moves: np.ndarray,
     Lanes end at FAIL or f == n; those that outrun the prefix redraw one
     twice as long."""
     df, dc, du = (np.array(d + (0,)) for d in zip(*STEPS))  # FAIL, the last move, ends the lane
-    lanes = rows = np.arange(len(keys))
+    lanes = rows = np.arange(len(reps))
     (f, c, u), t = np.zeros((3, lanes.size), dtype=np.intp), np.zeros(lanes.size)
     delays, successes, step = [], 0, 0
     while lanes.size:
         if step == exps.shape[1]:
-            exps, moves = _prefixes(keys[lanes], 2 * step)
+            exps, moves = _prefixes(seed, reps[lanes], 2 * step)
             rows = np.arange(lanes.size)
         row = jumps.row(f, c, u)
         t += exps[rows, step] / jumps.rate[row]
@@ -418,10 +389,10 @@ def empirical_delay(cfg: SimConfig, models: list[ChainModel]) -> list[DelayEstim
     # the shortest trajectory of the largest chain: n allocations, n completions
     steps = 2 * max((model.n for model in models), default=0)
     for start in range(0, reps, _CHUNK):
-        keys = _stream_keys(cfg.seed, start, min(start + _CHUNK, reps), _PURPOSE_TRAJECTORY)
-        exps, moves = _prefixes(keys, steps)
+        chunk = np.arange(start, min(start + _CHUNK, reps))
+        exps, moves = _prefixes(cfg.seed, chunk, steps)
         for m, rows in enumerate(jumps):
-            chunk_delays, done = _trajectories(rows, exps, moves, keys)
+            chunk_delays, done = _trajectories(rows, exps, moves, cfg.seed, chunk)
             delays[m].frombytes(chunk_delays.tobytes())
             completed[m] += done
     out = []

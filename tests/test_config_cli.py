@@ -72,6 +72,29 @@ class TestConfig:
         changed = resolve_config({"task": {"d2d_slot_s": 2.0}})
         assert config_hash(changed) != config_hash(preset())
 
+    @pytest.mark.parametrize("section,field", [
+        (section, f.name) for section, cls in _SECTIONS.items()
+        for f in dataclasses.fields(cls) if f.type == "float"])
+    def test_integer_spelled_float_is_the_float(self, section, field):
+        # JSON may write 300.0 as 300: the same scenario, hash and CSV cell;
+        # the preset's value rounded up is valid for every float field
+        value = math.ceil(getattr(getattr(preset(), section), field))
+        as_int = resolve_config({section: {field: value}})
+        as_float = resolve_config({section: {field: float(value)}})
+        assert as_int == as_float
+        assert type(getattr(getattr(as_int, section), field)) is float
+        assert config_hash(as_int) == config_hash(as_float)
+
+    def test_integer_spelled_preset_hashes_as_the_preset(self):
+        assert config_hash(resolve_config({"task": {"d2d_slot_s": 1}})) == config_hash(preset())
+
+    @pytest.mark.parametrize("section,field", [
+        (section, f.name) for section, cls in _SECTIONS.items() for f in dataclasses.fields(cls)])
+    def test_boolean_in_numeric_field_is_refused(self, section, field):
+        # a JSON true is an int to Python, and would pass as 1 or 1.0
+        with pytest.raises(ConfigError, match=f"^{section}: {field} must be a number, got true$"):
+            resolve_config({section: {field: True}})
+
 
 class TestCoverageCommand:
     def test_empty_grid_header_only(self, tmp_path):
@@ -106,6 +129,18 @@ class TestCoverageCommand:
         _, header, rows = read_csv(out)
         value = float(rows[0][header.index("success_probability")])
         assert value == pytest.approx(0.8595, abs=5e-3)
+
+    @pytest.mark.parametrize("radius", [300, 300.0])
+    def test_rl_flag_records_the_scenario_it_evaluates(self, tmp_path, radius):
+        # --rl and a config override are two spellings of one query, so the
+        # whole file, config_hash included, must agree
+        cfg = tmp_path / "rl.json"
+        cfg.write_text(json.dumps({"radio": {"los_radius_m": radius}}))
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        assert main(["coverage", "--xi", "0", "--rl", "300", "--out", str(by_flag)]) == 0
+        assert main(["coverage", "--xi", "0", "--config", str(cfg), "--out", str(by_config)]) == 0
+        assert by_flag.read_bytes() == by_config.read_bytes()
+        assert f"config_hash: {config_hash(preset())}" not in by_flag.read_text()
 
     def test_atomic_overwrite(self, tmp_path):
         out = tmp_path / "cov.csv"
@@ -472,6 +507,29 @@ class TestCliErrors:
         assert capsys.readouterr().err == (
             "error: the rank-386 success probability underflows to 0: "
             "at most n = 385 segments can be served\n")
+        assert not out.exists()
+
+    def test_boolean_config_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"task": {"d2d_slot_s": True}}))
+        assert main(["contour", "--nu-w", "7e-4", "--mu-f", "0.02", "--n-max", "3",
+                     "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: task: d2d_slot_s must be a number, got true\n"
+
+    def test_random_delay_without_los_workers_exits_2(self, monkeypatch, tmp_path, capsys):
+        # the random-selection rate is conditioned on a worker existing, so
+        # with none in reach the command stops before any chain, as the
+        # ordered variant's zero rank rate does
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a chain")
+
+        monkeypatch.setattr(cli, "build_baseline", refuse)
+        path = tmp_path / "no_workers.json"
+        path.write_text(json.dumps({"deploy": {"worker_intensity_per_m2": 0}}))
+        out = tmp_path / "out.csv"
+        assert main(["delay", "--variant", "random", "--n", "1:3:1", "--config", str(path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: no LoS workers")
         assert not out.exists()
 
     def test_import_loads_no_scipy(self):

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -27,7 +26,6 @@ from eecsim.montecarlo import (
     _Field,
     _JumpRows,
     _sinrs,
-    _stream_keys,
     _streams,
     default_arena_radius,
     empirical_delay,
@@ -46,14 +44,11 @@ def estimate(cfg, query, **kwargs):
     return empirical_success_curve(cfg, query, [query.radio.sinr_threshold_db], **kwargs)[0]
 
 
-def stream_words(seed, replication, purpose):
-    """One replication's stream key for one purpose, as two 64-bit words."""
-    return np.random.SeedSequence((seed, replication, purpose)).generate_state(2, np.uint64)
-
-
 def stream_rng(seed, replication, purpose):
-    """A fresh generator on one replication's stream for one purpose."""
-    return np.random.Generator(np.random.Philox(key=stream_words(seed, replication, purpose)))
+    """A fresh generator on one replication's stream for one purpose: Philox
+    keyed by (seed, purpose), the replication in counter word 2."""
+    return np.random.Generator(np.random.Philox(key=seed + (purpose << 64),
+                                                counter=replication << 128))
 
 
 def run_trajectory(jumps, rng):
@@ -95,8 +90,7 @@ def draw_sinr(seed, radio, deploy, anchor="worker", selection=RankedSelection(1)
               replication=0):
     """The estimator's sampler on one replication of ``seed``: nearest worker."""
     field = _Field(CoverageQuery(radio, deploy, selection), anchor == "worker")
-    keys = _stream_keys(seed, replication, replication + 1, _PURPOSE_SPATIAL)
-    return float(_sinrs(field, keys)[0][0])
+    return float(_sinrs(field, seed, [replication])[0][0])
 
 
 def edge_snr(radio):
@@ -299,10 +293,9 @@ def runs_over_chunks_and_blocks(monkeypatch, query, reps, blocks):
     and the replications' SINRs at every block size, which must agree bit
     for bit (a threshold count would hide a last-bit difference)."""
     runs, sinrs = [], []
-    keys = _stream_keys(7, 0, reps, _PURPOSE_SPATIAL)
     for block in blocks:
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        sinrs.append(_sinrs(_Field(query, True), keys))
+        sinrs.append(_sinrs(_Field(query, True), 7, range(reps)))
         for chunk in (1, 64, 500):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
             runs.append(empirical_success_curve(SimConfig(seed=7, replications=reps), query,
@@ -413,19 +406,30 @@ class TestEmpiricalCoverage:
             estimate(SimConfig(seed=3, replications=2), query)
 
 
+def uneven_draws(rng, i):
+    """Draw i's uneven mix, which leaves buffered output (Philox makes four
+    64-bit words at a time, and halves them for 32-bit draws)."""
+    return (rng.random(i + 1).tolist(), rng.poisson(2.5, i % 3).tolist(),
+            rng.integers(2 ** 32, size=i % 2 + 1, dtype=np.uint32).tolist())
+
+
 class TestStreamKeys:
-    """The vectorized key hash against numpy's SeedSequence."""
+    """Streams keyed by (seed, purpose), one counter block per replication."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2026, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
     @pytest.mark.parametrize("purpose", [_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY])
     @pytest.mark.parametrize("start,stop", [(0, 70), (4090, 4200), (2 ** 32 - 3, 2 ** 32)])
-    def test_matches_seed_sequence(self, seed, purpose, start, stop):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            keys = _stream_keys(seed, start, stop, purpose)
-        want = np.stack([stream_words(seed, rep, purpose) for rep in range(start, stop)])
-        assert keys.dtype == np.uint64
-        assert np.array_equal(keys, want)
+    def test_matches_fresh_philox(self, seed, purpose, start, stop):
+        # the extreme seeds fill the seed's key word; the last range ends at
+        # the largest replication count, past any 32-bit index
+        reps = range(start, stop)
+        for i, (rep, rng) in enumerate(zip(reps, _streams(seed, purpose, reps))):
+            assert uneven_draws(rng, i) == uneven_draws(stream_rng(seed, rep, purpose), i)
+
+    def test_purposes_differ(self):
+        spatial, trajectory = ([rng.random(4).tolist() for rng in _streams(5, purpose, range(3))]
+                               for purpose in (_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY))
+        assert all(a != b for a in spatial for b in trajectory)
 
     @pytest.mark.parametrize("argv", [["validate"], ["delay", "--simulate"]],
                              ids=lambda argv: argv[0])
@@ -437,23 +441,19 @@ class TestStreamKeys:
         assert cli.main(argv + ["--reps", "50", "--out", str(tmp_path / "out.csv")]) == 0
 
     def test_replication_bound(self):
-        # a replication index of 2**32 would hash a fifth entropy word
+        # the bound is on the run's length: 2**32 replications are accepted
         assert SimConfig(seed=1, replications=2 ** 32).replications == 2 ** 32
         with pytest.raises(ParameterError, match="2\\*\\*32"):
             SimConfig(seed=1, replications=2 ** 32 + 1)
 
     def test_streams_rewind_to_fresh_generators(self):
-        # an uneven number of draws per key leaves buffered output (Philox
-        # makes four 64-bit words at a time, and halves them for 32-bit
-        # draws), which must not leak into the next key's stream
-        def draws(rng, i):
-            return (rng.random(i + 1).tolist(), rng.poisson(2.5, i % 3).tolist(),
-                    rng.integers(2 ** 32, size=i % 2 + 1, dtype=np.uint32).tolist())
-
-        keys = np.concatenate([_stream_keys(3, 0, 4, _PURPOSE_SPATIAL),
-                               _stream_keys(3, 0, 4, _PURPOSE_TRAJECTORY)])
-        for i, (key, rng) in enumerate(zip(keys, _streams(keys))):
-            assert draws(rng, i) == draws(np.random.Generator(np.random.Philox(key=key)), i)
+        # rewinding to replications out of order and with gaps, as lanes that
+        # outrun their prefix do, must not leak one stream's buffered output
+        # into the next
+        reps = np.array([3, 0, 9, 1, 2 ** 40, 4])
+        for purpose in (_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY):
+            for i, (rep, rng) in enumerate(zip(reps, _streams(3, purpose, reps))):
+                assert uneven_draws(rng, i) == uneven_draws(stream_rng(3, int(rep), purpose), i)
 
 
 class TestTrajectories:
