@@ -48,6 +48,7 @@ from .montecarlo import (
     default_arena_radius,
     empirical_delay,
     empirical_success_curve,
+    empirical_success_curves,
 )
 from .params import (
     DeploymentParams,

@@ -42,7 +42,7 @@ from .coverage import (
     success_table,
 )
 from .errors import ConfigError, ParameterError, QuadratureError, UnservableError
-from .montecarlo import SimConfig, empirical_delay, empirical_success_curve
+from .montecarlo import SimConfig, empirical_delay, empirical_success_curves
 from .params import MAX_GRID_POINTS
 
 BIAS_SCENARIOS = ("base", "low_mu_f", "low_nu_w", "low_nu_r", "high_nu_r")
@@ -209,14 +209,17 @@ def cmd_coverage(config: ScenarioConfig, sim: SimConfig, args) -> int:
     if args.simulate:
         header += ["simulated", "std_error", "resampled"]
     analytic = success_curves(radio, config.deploy, selections, xi_grid)
+    if args.simulate and xi_grid:
+        # selections that draw the same streams share one sampling pass
+        sims = empirical_success_curves(
+            sim, [(CoverageQuery(radio, config.deploy, selection), "worker")
+                  for selection in selections], xi_grid)
     for s, selection in enumerate(selections):
-        if args.simulate and xi_grid:
-            ests = empirical_success_curve(
-                sim, CoverageQuery(radio, config.deploy, selection), xi_grid)
         for i, xi in enumerate(xi_grid):
             row = [_selection_name(selection), radio.los_radius_m, xi, analytic[s, i]]
             if args.simulate:
-                row += [ests[i].estimate, ests[i].std_error, ests[i].resampled_realizations]
+                est = sims[s][i]
+                row += [est.estimate, est.std_error, est.resampled_realizations]
             rows.append(row)
     meta = _base_metadata("coverage", config, sim)
     _write_csv(args.out, meta, header, rows)
@@ -359,15 +362,18 @@ def _validate_rows(config: ScenarioConfig, sim: SimConfig):
         ServingDensity(config.deploy), ServingDensity(config.deploy, (1,)),
         ServingDensity(config.deploy, range(1, max(n_values) + 1))])
 
-    # coverage, both selection rules, at the scenario threshold; the test
-    # standard error comes from the analytic probability (known-null test),
-    # which stays positive even when a tiny sample is all successes
-    estimates = []
-    for selection, analytic in ((RandomSelection(), p_random),
-                                (RankedSelection(1), float(p_nearest[0]))):
-        query = CoverageQuery(config.radio, config.deploy, selection)
-        est = empirical_success_curve(sim, query, [config.radio.sinr_threshold_db])[0]
-        estimates.append(est)
+    # coverage, both selection rules, and the requester-anchored side of the
+    # blockage-classification toggle, at the scenario threshold: all three
+    # draw the same streams, so they share one sampling pass
+    random_q, nearest_q = (CoverageQuery(config.radio, config.deploy, selection)
+                           for selection in (RandomSelection(), RankedSelection(1)))
+    worker_c, nearest_c, req_c = (ests[0] for ests in empirical_success_curves(
+        sim, [(random_q, "worker"), (nearest_q, "worker"), (random_q, "requester")],
+        [config.radio.sinr_threshold_db]))
+    # the test standard error comes from the analytic probability (known-null
+    # test), which stays positive even when a tiny sample is all successes
+    for selection, analytic, est in ((random_q.selection, p_random, worker_c),
+                                     (nearest_q.selection, float(p_nearest[0]), nearest_c)):
         null_se = math.sqrt(analytic * (1.0 - analytic) / reps)
         tol = 3.0 * null_se + 0.02
         all_ok &= add(f"coverage/{_selection_name(selection)}", analytic,
@@ -375,10 +381,6 @@ def _validate_rows(config: ScenarioConfig, sim: SimConfig):
 
     # blockage-classification toggle: informational gap, always reported; the
     # worker-anchored side is the random-selection estimate above
-    worker_c = estimates[0]
-    query = CoverageQuery(config.radio, config.deploy, RandomSelection())
-    req_c = empirical_success_curve(sim, query, [config.radio.sinr_threshold_db],
-                                    los_classification="requester")[0]
     rows.append(["coverage/classification_toggle_gap", worker_c.estimate, req_c.estimate,
                  req_c.std_error, abs(worker_c.estimate - req_c.estimate), "", "info", ""])
 

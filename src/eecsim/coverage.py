@@ -115,9 +115,12 @@ def _fade_sums(u: np.ndarray, c: float | np.ndarray, m: int, weights: np.ndarray
     out: y**m by m - 1 multiplications, whose overflow gives the true limit 1."""
     np.multiply(u, c, out=y)
     y += 1.0
-    np.copyto(out, y)
     with np.errstate(over="ignore"):
-        for _ in range(m - 1):
+        if m == 1:
+            np.copyto(out, y)
+        else:
+            np.multiply(y, y, out=out)
+        for _ in range(m - 2):
             out *= y
     np.divide(1.0, out, out=out)
     np.subtract(1.0, out, out=out)

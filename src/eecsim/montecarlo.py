@@ -1,11 +1,15 @@
 """Independent stochastic oracle for the analytic modules.
 
-Spatial side: :func:`empirical_success_curve` draws a Poisson network per
+Spatial side: :func:`empirical_success_curves` draws a Poisson network per
 replication and compares the serving link's SINR, under sectored-antenna
 alignment, blockage and Nakagami fading, with every threshold.  Each
 replication draws its counts and uniforms from its own stream; placements,
 fades, path loss and interference sums then run over blocks of
-replications as arrays (:class:`_Block`).  Temporal side:
+replications as arrays (:class:`_Block`).  Estimates whose replications
+draw the same stream layout (worker and interferer means, selection
+uniforms, row widths) share one pass per layout: the per-replication loop
+draws each stream once, and every estimate reads the shared rows through
+its own serving rule and blockage anchor.  Temporal side:
 :func:`empirical_delay` simulates trajectories of a batch of
 :class:`~eecsim.chain.ChainModel` by exponential races and estimates
 absorption delay and completion fractions, stepping each state (f, c, u) on
@@ -42,6 +46,7 @@ __all__ = [
     "DelayEstimate",
     "default_arena_radius",
     "empirical_success_curve",
+    "empirical_success_curves",
     "empirical_delay",
 ]
 
@@ -137,6 +142,9 @@ class _Field:
         self.head_width = self.need + radio.nakagami_los
         # squared radius, angle, alignment gain, then the fade's uniforms
         self.width = 3 + max(self.shapes)
+        # what a replication draws: estimates equal here share their streams
+        self.layout = (self.mean_workers, self.need, self.head_width,
+                       self.mean_interferers, self.width)
 
     def counts(self, rng) -> tuple[int, int]:
         """Draw the LoS worker count, redrawing it while the selection rule
@@ -190,19 +198,23 @@ class _Field:
 
 
 class _Block:
-    """Replications in flight: their serving uniforms, up to ``_BLOCK`` elements,
-    and their interferer rows, up to ``_BLOCK`` elements, which are evaluated
-    and summed whenever the buffer fills.  A row's interference is summed
-    left to right in its stream's order, across buffer refills too, so no
-    SINR depends on the block a replication falls in."""
+    """Replications in flight for fields of one layout: their serving
+    uniforms, up to ``_BLOCK`` elements, and their interferer rows, up to
+    ``_BLOCK`` elements, which every field evaluates and sums into its own
+    powers whenever the buffer fills.  A row's interference is summed left to
+    right in its stream's order, across buffer refills too, so no SINR
+    depends on the block a replication falls in or on the other fields."""
 
-    def __init__(self, field: _Field):
-        self.field = field
-        rows = max(1, _BLOCK // field.head_width)
-        self.head = np.empty((rows, field.head_width))
+    def __init__(self, fields: list[_Field]):
+        self.fields = fields
+        lead = fields[0]
+        self.mean_interferers = lead.mean_interferers
+        rows = max(1, _BLOCK // lead.head_width)
+        self.head = np.empty((rows, lead.head_width))
         self.n_w = np.empty(rows, dtype=np.int64)
-        self.r0sq, self.signal, self.power = np.empty(rows), np.empty(rows), np.zeros(rows)
-        self.u = np.empty((max(1, _BLOCK // field.width), field.width))
+        self.r0sq, self.signal = np.empty((2, len(fields), rows))
+        self.power = np.zeros((len(fields), rows))
+        self.u = np.empty((max(1, _BLOCK // lead.width), lead.width))
         self.owner = np.empty(len(self.u), dtype=np.intp)
         self.rows = self.served = self.used = 0
 
@@ -215,7 +227,7 @@ class _Block:
         rng.random(out=self.head[row])
         self.n_w[row] = n_w
         self.rows += 1
-        left = rng.poisson(self.field.mean_interferers)
+        left = rng.poisson(self.mean_interferers)
         while left:
             if self.used == len(self.u):
                 self._sum_interference()
@@ -227,22 +239,25 @@ class _Block:
 
     def _sum_interference(self) -> None:
         lo, hi = self.served, self.rows
-        self.r0sq[lo:hi], self.signal[lo:hi] = self.field.serving(self.head[lo:hi],
-                                                                  self.n_w[lo:hi])
+        head, n_w = self.head[lo:hi], self.n_w[lo:hi]
+        owner, u = self.owner[:self.used], self.u[:self.used]
+        for field, r0sq, signal, power in zip(self.fields, self.r0sq, self.signal,
+                                              self.power):
+            r0sq[lo:hi], signal[lo:hi] = field.serving(head, n_w)
+            np.add.at(power, owner, field.interference(u, r0sq[owner]))
         self.served = hi
-        owner = self.owner[:self.used]
-        np.add.at(self.power, owner,
-                  self.field.interference(self.u[:self.used], self.r0sq[owner]))
         self.used = 0
 
-    def finish(self) -> np.ndarray:
-        """SINRs of the block's replications, in order; empties the block."""
+    def finish(self) -> list[np.ndarray]:
+        """Each field's SINRs of the block's replications, in order; empties
+        the block."""
         self._sum_interference()
         rows = self.rows
-        sinr = self.signal[:rows] / (self.field.noise + self.power[:rows])
-        self.power[:rows] = 0.0
+        sinrs = [signal[:rows] / (field.noise + power[:rows])
+                 for field, signal, power in zip(self.fields, self.signal, self.power)]
+        self.power[:, :rows] = 0.0
         self.rows = self.served = 0
-        return sinr
+        return sinrs
 
 
 def _streams(seed: int, purpose: int, reps: np.ndarray):
@@ -260,49 +275,68 @@ def _streams(seed: int, purpose: int, reps: np.ndarray):
         yield rng
 
 
-def _sinrs(field: _Field, seed: int, reps: np.ndarray) -> tuple[np.ndarray, int]:
-    """Serving-link SINR of each replication (:func:`_streams`), and the redraw count."""
-    block = _Block(field)
+def _sinrs(fields: list[_Field], seed: int, reps: np.ndarray) -> tuple[np.ndarray, int]:
+    """Serving-link SINR of each replication (:func:`_streams`) under each of
+    ``fields``, which share one layout, as one row per field; and the
+    replications' redraw count."""
+    block = _Block(fields)
     out, redraws = [], 0
     for rng in _streams(seed, _PURPOSE_SPATIAL, reps):
-        n_w, redrawn = field.counts(rng)
+        n_w, redrawn = fields[0].counts(rng)
         redraws += redrawn
         if block.full():
             out.append(block.finish())
         block.add(rng, n_w)
     out.append(block.finish())
-    return np.concatenate(out), redraws
+    return np.concatenate(out, axis=1), redraws
 
 
-def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
-                            los_classification: str = "worker") -> list[CoverageEstimate]:
-    """Estimate offloading success for several SINR thresholds at once.
+def empirical_success_curves(cfg: SimConfig, samples,
+                             xi_db_values) -> list[list[CoverageEstimate]]:
+    """Estimate offloading success for several SINR thresholds at once, for
+    each ``(query, los_classification)`` pair of ``samples``, in order.
 
     One SINR sample per replication is compared against every threshold;
     realizations with too few LoS workers for the selection rule are
     resampled (sequentially within the replication's own stream) and
-    counted.  Results depend on neither ``_CHUNK`` nor ``_BLOCK``.
+    counted.  Samples whose replications draw the same stream layout share
+    one pass over the streams, and so their resample count; each estimate
+    is the same as alone.  Results depend on neither ``_CHUNK`` nor
+    ``_BLOCK``.
     """
     thresholds = np.array([10.0 ** (float(x) / 10.0) for x in xi_db_values])
-    if not isinstance(query.selection, (RandomSelection, RankedSelection)):
-        raise ParameterError(f"unsupported selection {query.selection!r}")
-    if los_classification not in ("worker", "requester"):
-        raise ParameterError(f"unknown los_classification {los_classification!r}")
-    field = _Field(query, los_classification == "worker")
-    counts = np.zeros(len(thresholds), dtype=np.int64)
-    resampled = 0
+    fields = []
+    for query, los_classification in samples:
+        if not isinstance(query.selection, (RandomSelection, RankedSelection)):
+            raise ParameterError(f"unsupported selection {query.selection!r}")
+        if los_classification not in ("worker", "requester"):
+            raise ParameterError(f"unknown los_classification {los_classification!r}")
+        fields.append(_Field(query, los_classification == "worker"))
+    layouts: dict[tuple, list[int]] = {}
+    for i, field in enumerate(fields):
+        layouts.setdefault(field.layout, []).append(i)
+    counts = np.zeros((len(fields), len(thresholds)), dtype=np.int64)
+    resampled = [0] * len(fields)
     reps = cfg.replications
-    for start in range(0, reps, _CHUNK):
-        sinrs, redraws = _sinrs(field, cfg.seed, np.arange(start, min(start + _CHUNK, reps)))
-        resampled += redraws
-        # replications above each threshold: those past its right insertion point
-        counts += sinrs.size - np.searchsorted(np.sort(sinrs), thresholds, side="right")
+    for members in layouts.values():
+        group = [fields[i] for i in members]
+        for start in range(0, reps, _CHUNK):
+            sinrs, redraws = _sinrs(group, cfg.seed, np.arange(start, min(start + _CHUNK, reps)))
+            for i, row in zip(members, sinrs):
+                resampled[i] += redraws
+                # replications above each threshold: those past its right insertion point
+                counts[i] += row.size - np.searchsorted(np.sort(row), thresholds, side="right")
     out = []
-    for count in counts.tolist():
-        p = count / reps
-        se = math.sqrt(p * (1.0 - p) / reps)
-        out.append(CoverageEstimate(estimate=p, std_error=se, resampled_realizations=resampled))
+    for sample_counts, redraws in zip(counts.tolist(), resampled):
+        ps = [count / reps for count in sample_counts]
+        out.append([CoverageEstimate(p, math.sqrt(p * (1.0 - p) / reps), redraws) for p in ps])
     return out
+
+
+def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
+                            los_classification: str = "worker") -> list[CoverageEstimate]:
+    """:func:`empirical_success_curves` of one query."""
+    return empirical_success_curves(cfg, [(query, los_classification)], xi_db_values)[0]
 
 
 @dataclass(frozen=True)

@@ -319,6 +319,26 @@ def engine_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def coverage_sampling(monkeypatch):
+    """The (selection, anchor) samples of each batched coverage call from
+    the CLI, and the (purpose, width) of each stream pass."""
+    calls, passes = [], []
+    original, streams = cli.empirical_success_curves, montecarlo._streams
+
+    def counting(cfg, samples, xi_db_values):
+        calls.append([(type(q.selection).__name__, a) for q, a in samples])
+        return original(cfg, samples, xi_db_values)
+
+    def counting_streams(seed, purpose, reps):
+        passes.append((purpose, len(reps)))
+        return streams(seed, purpose, reps)
+
+    monkeypatch.setattr(cli, "empirical_success_curves", counting)
+    monkeypatch.setattr(montecarlo, "_streams", counting_streams)
+    return calls, passes
+
+
 class TestOneCallPerCommand:
     @pytest.mark.parametrize("argv", [
         ["delay", "--n", "1:12:1", "--variant", "random", "--variant", "ordered",
@@ -332,19 +352,28 @@ class TestOneCallPerCommand:
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) in (0, 1)
         assert engine_calls == {"success_table": 1, "solve_chains": 1}
 
-    def test_validate_samples_coverage_three_times(self, monkeypatch, tmp_path):
-        # coverage/random is also the worker-anchored side of the
-        # classification toggle, so it is sampled once
-        calls = []
-        original = cli.empirical_success_curve
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("los_classification", "worker"))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "empirical_success_curve", counting)
+    def test_validate_samples_coverage_in_one_pass(self, coverage_sampling, monkeypatch,
+                                                   tmp_path):
+        # coverage/random, coverage/ranked:1 and the requester-anchored side of
+        # the classification toggle draw the same streams: one call, three
+        # samples, and one spatial pass over each chunk's replications
+        calls, passes = coverage_sampling
+        monkeypatch.setattr(montecarlo, "_CHUNK", 20)
         assert main(["validate", "--reps", "50", "--out", str(tmp_path / "out.csv")]) in (0, 1)
-        assert calls == ["worker", "worker", "requester"]
+        assert calls == [[("RandomSelection", "worker"), ("RankedSelection", "worker"),
+                          ("RandomSelection", "requester")]]
+        spatial = [n for purpose, n in passes if purpose == montecarlo._PURPOSE_SPATIAL]
+        assert spatial == [20, 20, 10]
+
+    def test_coverage_samples_every_selection_in_one_call(self, coverage_sampling, tmp_path):
+        # random and ranked:1 share a layout, ranked:2 has its own: one call,
+        # two spatial passes
+        calls, passes = coverage_sampling
+        argv = ["coverage", "--xi=0,5", "--selection", "random", "--selection", "ranked:1",
+                "--selection", "ranked:2", "--simulate", "--reps", "30"]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert len(calls) == 1 and len(calls[0]) == 3
+        assert passes == [(montecarlo._PURPOSE_SPATIAL, 30)] * 2
 
     @pytest.mark.parametrize("argv", [
         ["delay", "--n", "1:4:1", "--variant", "random", "--variant", "ordered",
@@ -559,13 +588,14 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "grid" in err and err.count("\n") == 1
 
-    def test_replications_past_the_key_hash_exit_2(self, monkeypatch, capsys):
-        # replication indices must stay single 32-bit entropy words of the
-        # stream keys; the bound is checked before anything is sampled
+    def test_replications_past_the_run_bound_exit_2(self, monkeypatch, capsys):
+        # replication r sits in Philox counter word 2, so every index has its
+        # own stream; the 2**32 bound is on the run's length, and it is
+        # checked before anything is sampled
         def refuse(*args, **kwargs):
             raise AssertionError("sampled")
 
-        monkeypatch.setattr(cli, "empirical_success_curve", refuse)
+        monkeypatch.setattr(cli, "empirical_success_curves", refuse)
         monkeypatch.setattr(cli, "empirical_delay", refuse)
         assert main(["validate", "--reps", "4294967297"]) == 2
         assert capsys.readouterr().err == (

@@ -211,7 +211,31 @@ def assert_kernel_matches_power_form(radio, nu_r, xi, n_inner, rel=1e-13):
     return W, Z, kern, W_ref, Z_ref, kern_ref
 
 
+def fade_sums_ref(u, c, m, weights):
+    """The fade row sums with y**m built from a copy of y and m - 1
+    multiplications, the form the kernel's squaring first step replaces."""
+    y = u * c + 1.0
+    out = y.copy()
+    with np.errstate(over="ignore"):
+        for _ in range(m - 1):
+            out *= y
+    return np.einsum("ij,j->i", 1.0 - 1.0 / out, weights)
+
+
 class TestIntegerShapeKernel:
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_fade_sums_bitwise(self, m):
+        # row scales from 1e-3 to 1e120, so the largest rows overflow y**m
+        rng = np.random.default_rng(m)
+        u = rng.random((40, 97)) * np.logspace(-3, 120, 40)[:, None]
+        c = rng.random(97) * 3.0
+        weights = rng.random(97)
+        y, out = np.empty_like(u), np.empty_like(u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = coverage._fade_sums(u, c, m, weights, y, out)
+        assert np.array_equal(got, fade_sums_ref(u, c, m, weights))
+
     @settings(max_examples=60, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(m_l=st.integers(1, 6), m_n=st.integers(1, 6),

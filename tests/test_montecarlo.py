@@ -30,6 +30,7 @@ from eecsim.montecarlo import (
     default_arena_radius,
     empirical_delay,
     empirical_success_curve,
+    empirical_success_curves,
 )
 from eecsim.params import DeploymentParams, db_to_linear, directivity_distribution
 
@@ -90,7 +91,7 @@ def draw_sinr(seed, radio, deploy, anchor="worker", selection=RankedSelection(1)
               replication=0):
     """The estimator's sampler on one replication of ``seed``: nearest worker."""
     field = _Field(CoverageQuery(radio, deploy, selection), anchor == "worker")
-    return float(_sinrs(field, seed, [replication])[0][0])
+    return float(_sinrs([field], seed, [replication])[0][0, 0])
 
 
 def edge_snr(radio):
@@ -295,7 +296,7 @@ def runs_over_chunks_and_blocks(monkeypatch, query, reps, blocks):
     runs, sinrs = [], []
     for block in blocks:
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        sinrs.append(_sinrs(_Field(query, True), 7, range(reps)))
+        sinrs.append(_sinrs([_Field(query, True)], 7, range(reps)))
         for chunk in (1, 64, 500):
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
             runs.append(empirical_success_curve(SimConfig(seed=7, replications=reps), query,
@@ -404,6 +405,93 @@ class TestEmpiricalCoverage:
         query = CoverageQuery(radio, none, RandomSelection())
         with pytest.raises(ParameterError):
             estimate(SimConfig(seed=3, replications=2), query)
+
+
+def mixed_samples(radio, deploy):
+    """Random, rank 1 and rank 2 under both anchors at R_L = 100 m and 60 m:
+    four stream layouts, as random and rank 1 share one at each radius."""
+    near = replace(radio, los_radius_m=60.0)
+    selections = (RandomSelection(), RankedSelection(1), RankedSelection(2))
+    return [(CoverageQuery(r, deploy, selection), anchor)
+            for r in (radio, near) for selection in selections for anchor in ANCHORS]
+
+
+class TestBatchedCoverage:
+    XIS = [-5.0, 0.0, 5.0, 10.0]
+
+    def test_equals_per_sample_calls(self, radio, deploy):
+        samples = mixed_samples(radio, deploy)
+        cfg = SimConfig(seed=12, replications=300)
+        batched = empirical_success_curves(cfg, samples, self.XIS)
+        assert batched == [empirical_success_curve(cfg, query, self.XIS, los_classification=a)
+                           for query, a in samples]
+        # and each layout's SINRs bit for bit, against every field alone
+        fields = [_Field(query, a == "worker") for query, a in samples]
+        assert len({field.layout for field in fields}) == 4
+        for layout in {field.layout for field in fields}:
+            group = [field for field in fields if field.layout == layout]
+            shared, redraws = _sinrs(group, 12, range(300))
+            assert shared.shape == (len(group), 300)
+            for field, row in zip(group, shared):
+                alone = _sinrs([field], 12, range(300))
+                assert np.array_equal(row, alone[0][0]) and redraws == alone[1]
+
+    def test_head_width_alone_does_not_share_a_pass(self, radio):
+        # random selection at m_L = 3 and rank 2 at m_L = 2 draw four serving
+        # uniforms each, but rank 2 redraws counts under two workers
+        sparse = DeploymentParams(2e-5, 1e-4)
+        samples = [(CoverageQuery(replace(radio, nakagami_los=m_l, nakagami_nlos=3), sparse,
+                                  selection), "worker")
+                   for m_l, selection in ((3, RandomSelection()), (2, RankedSelection(2)))]
+        fields = [_Field(query, True) for query, _ in samples]
+        assert fields[0].head_width == fields[1].head_width
+        assert fields[0].width == fields[1].width
+        cfg = SimConfig(seed=16, replications=200)
+        assert empirical_success_curves(cfg, samples, self.XIS) \
+            == [empirical_success_curve(cfg, query, self.XIS) for query, _ in samples]
+
+    def test_permuted_samples_permute_results(self, radio, deploy):
+        samples = mixed_samples(radio, deploy)
+        cfg = SimConfig(seed=13, replications=200)
+        base = empirical_success_curves(cfg, samples, self.XIS)
+        order = np.random.default_rng(0).permutation(len(samples))
+        assert empirical_success_curves(cfg, [samples[i] for i in order], self.XIS) \
+            == [base[i] for i in order]
+
+    def test_chunk_and_block_invariant(self, radio, deploy, monkeypatch):
+        # a block of 50 elements holds fewer interferer rows than one
+        # replication draws, so replications straddle buffer refills; the
+        # sparse rank-2 sample redraws worker counts in every chunk width
+        sparse = CoverageQuery(radio, DeploymentParams(2e-5, 1e-4), RankedSelection(2))
+        samples = mixed_samples(radio, deploy) + [(sparse, "worker")]
+        cfg = SimConfig(seed=14, replications=150)
+        runs = []
+        for block in (montecarlo._BLOCK, 50):
+            monkeypatch.setattr(montecarlo, "_BLOCK", block)
+            for chunk in (1, 64, 500):
+                monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+                runs.append(empirical_success_curves(cfg, samples, self.XIS))
+        field = _Field(samples[0][0], True)
+        assert field.mean_interferers > 50 // field.width
+        assert runs[0][-1][0].resampled_realizations > 0
+        assert all(run == runs[0] for run in runs)
+
+    def test_members_share_the_resample_count(self, radio):
+        # V ~ 0.63: empty disks are common, and rank 2 needs two workers
+        sparse = DeploymentParams(2e-5, 1e-4)
+        samples = [(CoverageQuery(radio, sparse, selection), anchor)
+                   for selection in (RandomSelection(), RankedSelection(1), RankedSelection(2))
+                   for anchor in ANCHORS]
+        cfg = SimConfig(seed=15, replications=400)
+        counts = [ests[0].resampled_realizations
+                  for ests in empirical_success_curves(cfg, samples, [0.0])]
+        assert counts[0] > 0 and len(set(counts[:4])) == 1 and len(set(counts[4:])) == 1
+        assert counts[4] > counts[0]
+        assert counts == [estimate(cfg, query, los_classification=a).resampled_realizations
+                          for query, a in samples]
+
+    def test_no_samples(self):
+        assert empirical_success_curves(SimConfig(seed=1, replications=5), [], [0.0]) == []
 
 
 def uneven_draws(rng, i):
