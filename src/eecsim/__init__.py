@@ -13,7 +13,6 @@ from .chain import (
     build_baseline,
     build_failure_chain,
     build_level_dependent,
-    completion_probability,
     mean_absorption_time,
     solve_chains,
     worker_idle_probability,
@@ -30,7 +29,6 @@ from .coverage import (
     CoverageQuery,
     RandomSelection,
     RankedSelection,
-    ordered_distance_pdf,
     ranked_success_probabilities,
     success_curves,
     success_probability,
@@ -47,7 +45,6 @@ from .montecarlo import (
     SimConfig,
     default_arena_radius,
     empirical_delay,
-    empirical_success_curve,
     empirical_success_curves,
 )
 from .params import (

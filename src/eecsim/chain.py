@@ -60,7 +60,6 @@ __all__ = [
     "build_failure_chain",
     "solve_chains",
     "mean_absorption_time",
-    "completion_probability",
     "worker_idle_probability",
 ]
 
@@ -352,18 +351,6 @@ def mean_absorption_time(model: ChainModel) -> float:
     """Expected time from the empty state (nothing finished, nothing
     allocated) to absorption, at (n, 0) or in FAIL."""
     return solve_chains([model])[0][0]
-
-
-def completion_probability(model: ChainModel) -> float:
-    """Probability of absorbing in the success state rather than FAIL.
-
-    Only defined for models with a finite spare budget, which have both a
-    success and a FAIL absorbing state.
-    """
-    if model.spare_budget is None:
-        raise ParameterError(
-            "completion_probability needs a model with a finite spare_budget")
-    return solve_chains([model])[1][0]
 
 
 def worker_idle_probability(mu_f: float, nu_r: float, nu_w: float) -> float:

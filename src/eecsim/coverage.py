@@ -53,7 +53,6 @@ __all__ = [
     "success_curves",
     "success_probability",
     "ranked_success_probabilities",
-    "ordered_distance_pdf",
 ]
 
 
@@ -230,28 +229,15 @@ def _refine(evaluate, keys, what: str) -> dict:
     return done
 
 
-def ordered_distance_pdf(k: int, r, deploy: DeploymentParams,
-                         los_radius_m: float):
-    """Unnormalized density of the k-th nearest worker distance.
+def _rank_densities(ks, r: np.ndarray, deploy: DeploymentParams, rl: float) -> np.ndarray:
+    """Unnormalized density of the k-th nearest worker distance at r, one row
+    per rank k of ``ks``; unchecked.
 
     Evaluates V^k e^{-V} f(r) F(r)^{k-1} / (k-1)! * e^{-V (F(r) - 1)} with
     f(r) = 2r/R_L^2, F(r) = r^2/R_L^2 and V the mean LoS worker count.  Its
     integral over [0, R_L] is the probability that at least k workers exist.
-    Accepts scalar or array r; computed in log space to stay finite for
-    large V and k.
+    Computed in log space to stay finite for large V and k.
     """
-    require_int("k", k, 1)
-    if los_radius_m <= 0:
-        raise ParameterError("los_radius_m must be positive")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any((r_arr < 0) | (r_arr > los_radius_m)):
-        raise ParameterError("r must lie in [0, los_radius_m]")
-    out = _rank_densities((k,), r_arr, deploy, los_radius_m)[0]
-    return out if r_arr.ndim else float(out)
-
-
-def _rank_densities(ks, r: np.ndarray, deploy: DeploymentParams, rl: float) -> np.ndarray:
-    """Every rank's :func:`ordered_distance_pdf` at r, one row per rank; unchecked."""
     v = deploy.mean_los_workers(rl)
     if v == 0.0:
         return np.zeros((len(ks),) + r.shape)

@@ -2,29 +2,31 @@
 
 Spatial side: :func:`empirical_success_curves` draws a Poisson network per
 replication and compares the serving link's SINR, under sectored-antenna
-alignment, blockage and Nakagami fading, with every threshold.  Each
-replication draws its counts and uniforms from its own stream; placements,
-fades, path loss and interference sums then run over blocks of
-replications as arrays (:class:`_Block`).  Estimates whose replications
+alignment, blockage and Nakagami fading, with every threshold.  Replications
+are drawn a page at a time (:func:`_sinrs`): each kind of draw is one
+array-wide call over the page, and placements, fades, path loss and
+interference sums run over the page as arrays.  Estimates whose replications
 draw the same stream layout (worker and interferer means, selection
-uniforms, row widths) share one pass per layout: the per-replication loop
-draws each stream once, and every estimate reads the shared rows through
-its own serving rule and blockage anchor.  Temporal side:
-:func:`empirical_delay` simulates trajectories of a batch of
-:class:`~eecsim.chain.ChainModel` by exponential races and estimates
-absorption delay and completion fractions, stepping each state (f, c, u) on
-the 4 (n + 1) rows of the chain's rate table (:class:`_JumpRows`).
+uniforms, row widths) share one pass per layout: each page is drawn once,
+and every estimate reads the shared rows through its own serving rule and
+blockage anchor.  Temporal side: :func:`empirical_delay` simulates
+trajectories of a batch of :class:`~eecsim.chain.ChainModel` by exponential
+races and estimates absorption delay and completion fractions, stepping each
+state (f, c, u) on the 4 (n + 1) rows of the chain's rate table
+(:class:`_JumpRows`).
 
-Reproducibility contract: every replication draws from its own Philox
-streams, one per purpose.  Philox is counter-based (Salmon et al., SC 2011):
-the key is seed + (purpose << 64), and replication r starts at counter
-r << 128, so r sits in counter word 2 and the 2**128 blocks below it are
-its stream alone.  Both samplers rewind one generator's counter to each
-replication in turn (:func:`_streams`).  Aggregation is exact (integer
-counts, correctly rounded float sums), so results do not depend on
-chunking.  The models of one :func:`empirical_delay` call step a chunk's
-replications as lockstep numpy lanes over each stream's one shared prefix,
-so a model's estimate is the same alone or in any batch.
+Reproducibility contract: replications come in pages of ``_PAGE``, and each
+page draws from its own Philox streams, one per purpose.  Philox is
+counter-based (Salmon et al., SC 2011): the key is seed + (purpose << 64),
+and page p starts at counter p << 128, so p sits in counter word 2 and the
+2**128 blocks below it are its stream alone; block b of its trajectory
+steps sits at counter word 3 = b.  So results depend on the seed and the
+replication count only.  Aggregation is exact (integer counts, correctly
+rounded float sums, interference summed left to right in stream order), so
+they do not depend on ``_BLOCK``.  The models of one :func:`empirical_delay`
+call step a page's replications as lockstep numpy lanes over one shared
+first block, and each model's lanes that outlive a block read the next one
+themselves, so a model's estimate is the same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "CoverageEstimate",
     "DelayEstimate",
     "default_arena_radius",
-    "empirical_success_curve",
     "empirical_success_curves",
     "empirical_delay",
 ]
@@ -55,11 +56,14 @@ _MAX_SEED = 2 ** 64 - 1
 _PURPOSE_SPATIAL = 1
 _PURPOSE_TRAJECTORY = 2
 _RESAMPLE_LIMIT = 10_000
-# replications whose stream counters are built, and whose trajectories step
-# as lanes, together; no result depends on it, and tests patch it to show that
-_CHUNK = 4096
-# float64 elements of serving, and of interferer, uniforms that the spatial
-# sampler holds at once: a bound on its temporaries that no result depends on
+# replications drawn, and stepped as trajectory lanes, together: part of the
+# stream layout, like the counter words
+_PAGE = 4096
+# trajectory steps per block of a page's stream: part of the layout too, and
+# independent of the chains so that no model's draws depend on its batch
+_SPAN = 16
+# float64 elements of interferer uniforms that the spatial sampler holds at
+# once: a bound on its temporaries that no result depends on
 _BLOCK = 1 << 15
 
 
@@ -72,7 +76,7 @@ class SimConfig:
 
     def __post_init__(self):
         require_int("seed", self.seed, 0, _MAX_SEED)
-        # replication r is counter word 2, so every r below 2**64 has its own
+        # a page is counter word 2, so every page below 2**64 has its own
         # stream; the bound is on the run's length, not on the stream layout
         require_int("replications", self.replications, 1, 2 ** 32)
 
@@ -111,13 +115,13 @@ class CoverageEstimate:
 class _Field:
     """The constants of one coverage estimate, read once per call.
 
-    A replication's stream holds, in order: the LoS worker count (redrawn
-    while too small for the selection rule), the serving uniforms, the
-    interferer count and one row of :attr:`width` uniforms per interferer.
-    The serving uniforms are the selection's (one for random selection, k
-    for rank k) and then the serving fade's.  The typical requester sits at
-    the origin, the serving worker on the x-axis (the interferer field is
-    isotropic), and interferers cover the arena disk.
+    A replication draws: the LoS worker count (redrawn while too small for
+    the selection rule), a head row of serving uniforms, the interferer
+    count and one row of :attr:`width` uniforms per interferer.  The serving
+    uniforms are the selection's (one for random selection, k for rank k)
+    and then the serving fade's.  The typical requester sits at the origin,
+    the serving worker on the x-axis (the interferer field is isotropic),
+    and interferers cover the arena disk.
     """
 
     def __init__(self, query: CoverageQuery, worker_centric: bool):
@@ -146,19 +150,21 @@ class _Field:
         self.layout = (self.mean_workers, self.need, self.head_width,
                        self.mean_interferers, self.width)
 
-    def counts(self, rng) -> tuple[int, int]:
-        """Draw the LoS worker count, redrawing it while the selection rule
-        lacks a worker; returns it and the number of redraws."""
+    def workers(self, rng, size: int) -> tuple[np.ndarray, int]:
+        """Draw ``size`` LoS worker counts, redrawing the rows the selection
+        rule lacks a worker in as one vector, in row order, until none does;
+        returns them and the number of redraws."""
+        n_w = rng.poisson(self.mean_workers, size)
         redraws = 0
-        n_w = rng.poisson(self.mean_workers)
-        while n_w < self.need:
-            redraws += 1
-            if redraws >= _RESAMPLE_LIMIT:
-                raise ParameterError(
-                    "could not realize a network with enough LoS workers; "
-                    "worker intensity is too small for this selection rule")
-            n_w = rng.poisson(self.mean_workers)
-        return n_w, redraws
+        for _ in range(_RESAMPLE_LIMIT):
+            short = np.flatnonzero(n_w < self.need)
+            if not short.size:
+                return n_w, redraws
+            redraws += short.size
+            n_w[short] = rng.poisson(self.mean_workers, short.size)
+        raise ParameterError(
+            "could not realize a network with enough LoS workers; "
+            "worker intensity is too small for this selection rule")
 
     def serving(self, head: np.ndarray, n_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared serving distance and signal power of each head row.
@@ -197,98 +203,47 @@ class _Field:
                                fades[:, m_n - 1] * (c_n / m_n) * d2 ** e_n)
 
 
-class _Block:
-    """Replications in flight for fields of one layout: their serving
-    uniforms, up to ``_BLOCK`` elements, and their interferer rows, up to
-    ``_BLOCK`` elements, which every field evaluates and sums into its own
-    powers whenever the buffer fills.  A row's interference is summed left to
-    right in its stream's order, across buffer refills too, so no SINR
-    depends on the block a replication falls in or on the other fields."""
-
-    def __init__(self, fields: list[_Field]):
-        self.fields = fields
-        lead = fields[0]
-        self.mean_interferers = lead.mean_interferers
-        rows = max(1, _BLOCK // lead.head_width)
-        self.head = np.empty((rows, lead.head_width))
-        self.n_w = np.empty(rows, dtype=np.int64)
-        self.r0sq, self.signal = np.empty((2, len(fields), rows))
-        self.power = np.zeros((len(fields), rows))
-        self.u = np.empty((max(1, _BLOCK // lead.width), lead.width))
-        self.owner = np.empty(len(self.u), dtype=np.intp)
-        self.rows = self.served = self.used = 0
-
-    def full(self) -> bool:
-        return self.rows == len(self.head)
-
-    def add(self, rng, n_w: int) -> None:
-        """Draw one replication's serving uniforms, interferer count and rows."""
-        row = self.rows
-        rng.random(out=self.head[row])
-        self.n_w[row] = n_w
-        self.rows += 1
-        left = rng.poisson(self.mean_interferers)
-        while left:
-            if self.used == len(self.u):
-                self._sum_interference()
-            take = min(left, len(self.u) - self.used)
-            rng.random(out=self.u[self.used:self.used + take])
-            self.owner[self.used:self.used + take] = row
-            self.used += take
-            left -= take
-
-    def _sum_interference(self) -> None:
-        lo, hi = self.served, self.rows
-        head, n_w = self.head[lo:hi], self.n_w[lo:hi]
-        owner, u = self.owner[:self.used], self.u[:self.used]
-        for field, r0sq, signal, power in zip(self.fields, self.r0sq, self.signal,
-                                              self.power):
-            r0sq[lo:hi], signal[lo:hi] = field.serving(head, n_w)
-            np.add.at(power, owner, field.interference(u, r0sq[owner]))
-        self.served = hi
-        self.used = 0
-
-    def finish(self) -> list[np.ndarray]:
-        """Each field's SINRs of the block's replications, in order; empties
-        the block."""
-        self._sum_interference()
-        rows = self.rows
-        sinrs = [signal[:rows] / (field.noise + power[:rows])
-                 for field, signal, power in zip(self.fields, self.signal, self.power)]
-        self.power[:, :rows] = 0.0
-        self.rows = self.served = 0
-        return sinrs
+def _rng(seed: int, purpose: int, page: int, block: int = 0) -> np.random.Generator:
+    """A fresh generator on a page's stream for ``purpose``: Philox keyed by
+    seed + (purpose << 64), the page in counter word 2 and the trajectory
+    block in word 3."""
+    return np.random.Generator(np.random.Philox(key=seed + (purpose << 64),
+                                                counter=[0, 0, page, block]))
 
 
-def _streams(seed: int, purpose: int, reps: np.ndarray):
-    """One Philox generator keyed by (seed, purpose), rewound in turn to each
-    replication's stream (counter rep << 128, no buffered output): the same
-    draws as a fresh generator per replication, without building one."""
-    bitgen = np.random.Philox(key=seed + (purpose << 64))
-    rng = np.random.Generator(bitgen)
-    state = bitgen.state
-    counters = np.zeros((len(reps), 4), dtype=np.uint64)
-    counters[:, 2] = reps
-    for counter in counters:
-        state["state"]["counter"] = counter
-        bitgen.state = state
-        yield rng
+def _sinrs(fields: list[_Field], seed: int, page: int,
+           size: int) -> tuple[np.ndarray, int]:
+    """Serving-link SINR of a page's first ``size`` replications under each of
+    ``fields``, which share one layout, as one row per field; and the page's
+    redraw count.
+
+    The page's stream holds, in order: its worker counts (:meth:`_Field.workers`),
+    its serving uniforms, its interferer counts and its interferer rows in
+    replication order.  The rows are read in slices of ``_BLOCK`` elements,
+    each row's owner found from the cumulative counts, and summed into its
+    owner's power left to right in stream order, so no SINR depends on the
+    slicing or on the other fields.
+    """
+    lead = fields[0]
+    rng = _rng(seed, _PURPOSE_SPATIAL, page)
+    n_w, redraws = lead.workers(rng, size)
+    head = rng.random((size, lead.head_width))
+    ends = np.cumsum(rng.poisson(lead.mean_interferers, size))
+    served = [field.serving(head, n_w) for field in fields]
+    power = np.zeros((len(fields), size))
+    rows, total = max(1, _BLOCK // lead.width), int(ends[-1])
+    for lo in range(0, total, rows):
+        u = rng.random((min(rows, total - lo), lead.width))
+        owner = np.searchsorted(ends, np.arange(lo, lo + len(u)), side="right")
+        for field, (r0sq, _), acc in zip(fields, served, power):
+            np.add.at(acc, owner, field.interference(u, r0sq[owner]))
+    return np.array([signal / (field.noise + acc)
+                     for field, (_, signal), acc in zip(fields, served, power)]), redraws
 
 
-def _sinrs(fields: list[_Field], seed: int, reps: np.ndarray) -> tuple[np.ndarray, int]:
-    """Serving-link SINR of each replication (:func:`_streams`) under each of
-    ``fields``, which share one layout, as one row per field; and the
-    replications' redraw count."""
-    block = _Block(fields)
-    out, redraws = [], 0
-    for rng in _streams(seed, _PURPOSE_SPATIAL, reps):
-        n_w, redrawn = fields[0].counts(rng)
-        redraws += redrawn
-        if block.full():
-            out.append(block.finish())
-        block.add(rng, n_w)
-    out.append(block.finish())
-    return np.concatenate(out, axis=1), redraws
+def _pages(reps: int):
+    """Each page's index and its number of the ``reps`` replications."""
+    return ((page, min(_PAGE, reps - page * _PAGE)) for page in range(-(-reps // _PAGE)))
 
 
 def empirical_success_curves(cfg: SimConfig, samples,
@@ -298,11 +253,10 @@ def empirical_success_curves(cfg: SimConfig, samples,
 
     One SINR sample per replication is compared against every threshold;
     realizations with too few LoS workers for the selection rule are
-    resampled (sequentially within the replication's own stream) and
-    counted.  Samples whose replications draw the same stream layout share
-    one pass over the streams, and so their resample count; each estimate
-    is the same as alone.  Results depend on neither ``_CHUNK`` nor
-    ``_BLOCK``.
+    resampled (within their page's stream) and counted.  Samples whose
+    replications draw the same stream layout share one pass over the pages,
+    and so their resample count; each estimate is the same as alone.
+    Results do not depend on ``_BLOCK``.
     """
     thresholds = np.array([10.0 ** (float(x) / 10.0) for x in xi_db_values])
     fields = []
@@ -320,8 +274,8 @@ def empirical_success_curves(cfg: SimConfig, samples,
     reps = cfg.replications
     for members in layouts.values():
         group = [fields[i] for i in members]
-        for start in range(0, reps, _CHUNK):
-            sinrs, redraws = _sinrs(group, cfg.seed, np.arange(start, min(start + _CHUNK, reps)))
+        for page, size in _pages(reps):
+            sinrs, redraws = _sinrs(group, cfg.seed, page, size)
             for i, row in zip(members, sinrs):
                 resampled[i] += redraws
                 # replications above each threshold: those past its right insertion point
@@ -331,12 +285,6 @@ def empirical_success_curves(cfg: SimConfig, samples,
         ps = [count / reps for count in sample_counts]
         out.append([CoverageEstimate(p, math.sqrt(p * (1.0 - p) / reps), redraws) for p in ps])
     return out
-
-
-def empirical_success_curve(cfg: SimConfig, query: CoverageQuery, xi_db_values,
-                            los_classification: str = "worker") -> list[CoverageEstimate]:
-    """:func:`empirical_success_curves` of one query."""
-    return empirical_success_curves(cfg, [(query, los_classification)], xi_db_values)[0]
 
 
 @dataclass(frozen=True)
@@ -366,44 +314,45 @@ class _JumpRows:
         self.cum = np.where(moves > 0.0, cum, -1.0)
 
 
-def _prefixes(seed: int, reps: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """The first ``steps`` steps of each replication's trajectory stream:
-    step k reads uniforms 2k and 2k + 1.  Returns the sojourns as unit
-    exponentials ``-log1p(-U)`` of the first, and the move uniforms, one row
-    per replication."""
-    u = np.empty((len(reps), steps, 2))
-    for row, rng in zip(u, _streams(seed, _PURPOSE_TRAJECTORY, reps)):
-        rng.random(out=row)
+def _steps(seed: int, page: int, block: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trajectory block ``block`` of a page: ``_SPAN`` steps per lane, one
+    row per lane, where step k reads uniforms 2k and 2k + 1.  Returns the
+    sojourns as unit exponentials ``-log1p(-U)`` of the first, and the move
+    uniforms."""
+    u = _rng(seed, _PURPOSE_TRAJECTORY, page, block).random((lanes, _SPAN, 2))
     return -np.log1p(-u[:, :, 0]), u[:, :, 1]
 
 
-def _trajectories(jumps: _JumpRows, exps: np.ndarray, moves: np.ndarray,
-                  seed: int, reps: np.ndarray) -> tuple[np.ndarray, int]:
-    """Delays of a chunk's replications, in order of absorption, and the count
+def _trajectories(jumps: _JumpRows, first: tuple[np.ndarray, np.ndarray],
+                  seed: int, page: int) -> tuple[np.ndarray, int]:
+    """Delays of a page's replications, in order of absorption, and the count
     of successes.  The replications step together as lanes on their states'
     jump rows: the sojourn is the step's exponential over the exit rate, the
     move is the first whose cumulative probability reaches the step's move
     uniform, and it adds its step (:data:`~eecsim.chain.STEPS`) to the state.
-    Lanes end at FAIL or f == n; those that outrun the prefix redraw one
-    twice as long."""
+    Lanes end at FAIL or f == n.  They read the page's ``first`` block, and
+    those alive at a block's end read the next block, one row per live lane
+    in lane order, so the draws depend on this model's lanes alone."""
     df, dc, du = (np.array(d + (0,)) for d in zip(*STEPS))  # FAIL, the last move, ends the lane
-    lanes = rows = np.arange(len(reps))
-    (f, c, u), t = np.zeros((3, lanes.size), dtype=np.intp), np.zeros(lanes.size)
+    exps, moves = first
+    rows = np.arange(len(exps))
+    (f, c, u), t = np.zeros((3, rows.size), dtype=np.intp), np.zeros(rows.size)
     delays, successes, step = [], 0, 0
-    while lanes.size:
-        if step == exps.shape[1]:
-            exps, moves = _prefixes(seed, reps[lanes], 2 * step)
-            rows = np.arange(lanes.size)
+    while rows.size:
+        k = step % _SPAN
+        if step and not k:
+            exps, moves = _steps(seed, page, step // _SPAN, rows.size)
+            rows = np.arange(rows.size)
         row = jumps.row(f, c, u)
-        t += exps[rows, step] / jumps.rate[row]
-        move = np.argmax(jumps.cum[row] >= moves[rows, step, None], 1)
+        t += exps[rows, k] / jumps.rate[row]
+        move = np.argmax(jumps.cum[row] >= moves[rows, k, None], 1)
         f, c, u = f + df[move], c + dc[move], u + du[move]
         won = f == jumps.n
         done = won | (move == len(STEPS))
         delays.append(t[done])
         successes += int(np.count_nonzero(won))
         live = ~done
-        lanes, rows, t, f, c, u = (a[live] for a in (lanes, rows, t, f, c, u))
+        rows, t, f, c, u = (a[live] for a in (rows, t, f, c, u))
         step += 1
     return np.concatenate(delays), successes
 
@@ -411,23 +360,20 @@ def _trajectories(jumps: _JumpRows, exps: np.ndarray, moves: np.ndarray,
 def empirical_delay(cfg: SimConfig, models: list[ChainModel]) -> list[DelayEstimate]:
     """Trajectory-averaged absorption delay and completion fraction, per model.
 
-    Each chunk of ``_CHUNK`` replications draws one prefix of its
-    trajectory streams (:func:`_streams`), and every model reads it.  Each
-    mean is a correctly rounded sum of per-replication delays, so neither
-    chunking nor the order in which trajectories end can perturb the result.
+    Each page draws the first block of its trajectory steps once, and every
+    model reads it (:func:`_trajectories`).  Each mean is a correctly rounded
+    sum of per-replication delays, so the order in which trajectories end
+    cannot perturb the result.
     """
     jumps = [_JumpRows(model) for model in models]
     reps = cfg.replications
     delays = [array("d") for _ in jumps]
     completed = [0] * len(jumps)
-    # the shortest trajectory of the largest chain: n allocations, n completions
-    steps = 2 * max((model.n for model in models), default=0)
-    for start in range(0, reps, _CHUNK):
-        chunk = np.arange(start, min(start + _CHUNK, reps))
-        exps, moves = _prefixes(cfg.seed, chunk, steps)
+    for page, size in _pages(reps):
+        first = _steps(cfg.seed, page, 0, size)
         for m, rows in enumerate(jumps):
-            chunk_delays, done = _trajectories(rows, exps, moves, cfg.seed, chunk)
-            delays[m].frombytes(chunk_delays.tobytes())
+            page_delays, done = _trajectories(rows, first, cfg.seed, page)
+            delays[m].frombytes(page_delays.tobytes())
             completed[m] += done
     out = []
     for d, done in zip(delays, completed):

@@ -19,8 +19,8 @@ from eecsim.chain import (
     build_baseline,
     build_failure_chain,
     build_level_dependent,
-    completion_probability,
     mean_absorption_time,
+    solve_chains,
     worker_idle_probability,
 )
 from eecsim.cli import main
@@ -34,7 +34,7 @@ from eecsim.coverage import (
     success_probability,
 )
 from eecsim import montecarlo
-from eecsim.montecarlo import SimConfig, empirical_delay, empirical_success_curve
+from eecsim.montecarlo import SimConfig, empirical_delay, empirical_success_curves
 from exact_coverage import exact_success
 
 SCENARIO = preset()
@@ -110,7 +110,7 @@ def test_criterion_03_monte_carlo_coverage_agreement():
             xi_values = sorted(anchors)
             cfg = SimConfig(seed=MC_SEED, replications=MC_REPS)
             query = _query(rl, xi_values[0], selection)
-            estimates = empirical_success_curve(cfg, query, xi_values)
+            estimates = empirical_success_curves(cfg, [(query, "worker")], xi_values)[0]
             for est, xi in zip(estimates, xi_values):
                 row = (_selection_label(selection), rl, xi)
                 analytic = success_probability(_query(rl, xi, selection))
@@ -178,10 +178,10 @@ def test_criterion_06_completion_probability():
         for n in range(1, 19):
             model = build_failure_chain(n, [1.0] * n, 0.02, l, spare_budget=0)
             closed = (n * n * l / (n * n * l + 1.0)) ** n
-            assert completion_probability(model) == pytest.approx(closed, abs=1e-12)
+            assert solve_chains([model])[1][0] == pytest.approx(closed, abs=1e-12)
     for l, n, want in COMPLETION_ANCHORS:
         model = build_failure_chain(n, [1.0] * n, 0.02, l, spare_budget=0)
-        assert completion_probability(model) == pytest.approx(want, abs=1e-3)
+        assert solve_chains([model])[1][0] == pytest.approx(want, abs=1e-3)
     print("\nACCEPTANCE 6: PASS (closed form to 1e-12, anchors to 1e-3)")
 
 
@@ -305,15 +305,13 @@ def test_criterion_09_mec_zero_load_anchor():
 
 def test_criterion_10_validate_determinism(tmp_path, monkeypatch):
     outs = []
-    for name, chunk, block in (("a.csv", 4096, 1 << 16), ("b.csv", 4096, 1 << 16),
-                               ("c.csv", 97, 500)):
+    for name, block in (("a.csv", 1 << 16), ("b.csv", 1 << 16), ("c.csv", 500)):
         out = tmp_path / name
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
         code = main(["validate", "--reps", "2000", "--seed", str(MC_SEED),
                      "--out", str(out)])
         assert code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1] == outs[2]
-    print("\nACCEPTANCE 10: PASS (byte-identical reports across reruns, "
-          "chunk widths and block sizes)")
+    print("\nACCEPTANCE 10: PASS (byte-identical reports across reruns "
+          "and block sizes)")

@@ -14,7 +14,6 @@ from eecsim.chain import (
     build_baseline,
     build_failure_chain,
     build_level_dependent,
-    completion_probability,
     mean_absorption_time,
     solve_chains,
     worker_idle_probability,
@@ -479,12 +478,17 @@ class TestMeanAbsorption:
             build_failure_chain(1, [1.0], 0.02, math.inf)
 
 
+def completion(model):
+    """Completion probability of one model, from :func:`solve_chains`."""
+    return solve_chains([model])[1][0]
+
+
 class TestCompletionProbability:
     @pytest.mark.parametrize("l", [1.0, 2.0, 5.0])
     def test_matches_closed_form(self, l):
         for n in range(1, 19):
             model = build_failure_chain(n, [0.9] * n, 0.02, l, spare_budget=0)
-            got = completion_probability(model)
+            got = completion(model)
             assert got == pytest.approx(closed_form_completion(n, l), abs=1e-12)
 
     def test_reference_points(self):
@@ -492,27 +496,30 @@ class TestCompletionProbability:
                    (4, 1.0, 0.7847), (1, 2.0, 0.6667), (1, 5.0, 0.8333)]
         for n, l, want in anchors:
             model = build_failure_chain(n, [1.0] * n, 0.02, l, spare_budget=0)
-            assert completion_probability(model) == pytest.approx(want, abs=1e-3)
+            assert completion(model) == pytest.approx(want, abs=1e-3)
 
     def test_monotone_in_reliability_and_budget(self):
-        by_l = [completion_probability(
+        by_l = [completion(
             build_failure_chain(3, [1.0] * 3, 0.02, l, spare_budget=0))
             for l in (0.5, 1.0, 2.0, 5.0)]
         assert all(b >= a for a, b in zip(by_l, by_l[1:]))
-        by_budget = [completion_probability(
+        by_budget = [completion(
             build_failure_chain(3, [1.0] * 3, 0.02, 1.0, spare_budget=b))
             for b in (0, 1, 2, 5)]
         assert all(b >= a for a, b in zip(by_budget, by_budget[1:]))
 
     def test_requires_finite_budget(self):
-        model = build_failure_chain(2, [1.0, 1.0], 0.02, 1.0)
-        with pytest.raises(ParameterError):
-            completion_probability(model)
+        # a completion below 1 needs a FAIL state: with unlimited spares every
+        # failure is replaced and the task always completes
+        unlimited, finite = (build_failure_chain(2, [1.0, 1.0], 0.02, 1.0, spare_budget=b)
+                             for b in (None, 0))
+        assert completion(unlimited) == pytest.approx(1.0, abs=1e-12)
+        assert completion(finite) < 0.99
 
     def test_agrees_with_rate_matrix_route(self):
         model = build_failure_chain(3, [1.1, 0.9, 0.7], 0.04, 1.5, spare_budget=1)
         want_time, want_success, _ = dense_oracle(model)
-        assert completion_probability(model) == pytest.approx(want_success, abs=1e-12)
+        assert completion(model) == pytest.approx(want_success, abs=1e-12)
         assert mean_absorption_time(model) == pytest.approx(want_time, rel=1e-12)
 
     def test_independent_of_offload_rates(self):
@@ -520,8 +527,8 @@ class TestCompletionProbability:
         # race between completion and failure matters
         slow = build_failure_chain(3, [0.01, 0.02, 0.03], 0.02, 1.0, spare_budget=0)
         fast = build_failure_chain(3, [5.0, 4.0, 3.0], 0.02, 1.0, spare_budget=0)
-        assert completion_probability(slow) == pytest.approx(
-            completion_probability(fast), abs=1e-12)
+        assert completion(slow) == pytest.approx(
+            completion(fast), abs=1e-12)
 
 
 @st.composite
@@ -570,7 +577,7 @@ class TestAgainstDenseOracle:
             assert times[len(models) + i] <= times[i]
             if model.spare_budget is None:
                 continue
-            assert completions[i] == completion_probability(model)  # bitwise
+            assert completions[i] == completion(model)  # bitwise
             assert completions[i] == pytest.approx(want_success, abs=1e-12)
             assert 0.0 <= completions[i] <= 1.0
             assert next(spare) >= completions[i]

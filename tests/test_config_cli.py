@@ -322,20 +322,20 @@ def engine_calls(monkeypatch):
 @pytest.fixture
 def coverage_sampling(monkeypatch):
     """The (selection, anchor) samples of each batched coverage call from
-    the CLI, and the (purpose, width) of each stream pass."""
+    the CLI, and the replication count of each spatial page pass."""
     calls, passes = [], []
-    original, streams = cli.empirical_success_curves, montecarlo._streams
+    original, sinrs = cli.empirical_success_curves, montecarlo._sinrs
 
     def counting(cfg, samples, xi_db_values):
         calls.append([(type(q.selection).__name__, a) for q, a in samples])
         return original(cfg, samples, xi_db_values)
 
-    def counting_streams(seed, purpose, reps):
-        passes.append((purpose, len(reps)))
-        return streams(seed, purpose, reps)
+    def counting_sinrs(fields, seed, page, size):
+        passes.append(size)
+        return sinrs(fields, seed, page, size)
 
     monkeypatch.setattr(cli, "empirical_success_curves", counting)
-    monkeypatch.setattr(montecarlo, "_streams", counting_streams)
+    monkeypatch.setattr(montecarlo, "_sinrs", counting_sinrs)
     return calls, passes
 
 
@@ -356,14 +356,13 @@ class TestOneCallPerCommand:
                                                    tmp_path):
         # coverage/random, coverage/ranked:1 and the requester-anchored side of
         # the classification toggle draw the same streams: one call, three
-        # samples, and one spatial pass over each chunk's replications
+        # samples, and one spatial pass over each page's replications
         calls, passes = coverage_sampling
-        monkeypatch.setattr(montecarlo, "_CHUNK", 20)
+        monkeypatch.setattr(montecarlo, "_PAGE", 20)
         assert main(["validate", "--reps", "50", "--out", str(tmp_path / "out.csv")]) in (0, 1)
         assert calls == [[("RandomSelection", "worker"), ("RankedSelection", "worker"),
                           ("RandomSelection", "requester")]]
-        spatial = [n for purpose, n in passes if purpose == montecarlo._PURPOSE_SPATIAL]
-        assert spatial == [20, 20, 10]
+        assert passes == [20, 20, 10]
 
     def test_coverage_samples_every_selection_in_one_call(self, coverage_sampling, tmp_path):
         # random and ranked:1 share a layout, ranked:2 has its own: one call,
@@ -373,7 +372,7 @@ class TestOneCallPerCommand:
                 "--selection", "ranked:2", "--simulate", "--reps", "30"]
         assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
         assert len(calls) == 1 and len(calls[0]) == 3
-        assert passes == [(montecarlo._PURPOSE_SPATIAL, 30)] * 2
+        assert passes == [30, 30]
 
     @pytest.mark.parametrize("argv", [
         ["delay", "--n", "1:4:1", "--variant", "random", "--variant", "ordered",
@@ -411,7 +410,7 @@ class TestValidateCommand:
         out_b = tmp_path / "b.csv"
         args = ["validate", "--reps", "400", "--seed", "5"]
         assert main(args + ["--out", str(out_a)]) == 0
-        monkeypatch.setattr(montecarlo, "_CHUNK", 7)
+        monkeypatch.setattr(montecarlo, "_BLOCK", 50)
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 

@@ -16,7 +16,6 @@ from eecsim.coverage import (
     RandomSelection,
     RankedSelection,
     ServingDensity,
-    ordered_distance_pdf,
     ranked_success_probabilities,
     success_curves,
     success_probability,
@@ -338,9 +337,14 @@ class TestExactOracle:
         assert exact_success(rayleigh, deploy, selection, xi) == pytest.approx(want, abs=1e-7)
 
 
+def rank_density(k, r, deploy, rl):
+    """The package's unnormalized rank-k serving density at r."""
+    return coverage._rank_densities((k,), np.asarray(r, dtype=float), deploy, rl)[0]
+
+
 def rank_density_ref(k, r, v, rl):
-    """The rank-k density of :func:`ordered_distance_pdf` for one rank at a
-    time, in log space: the reference for the rank-block evaluation."""
+    """The rank-k serving density for one rank at a time, in log space: the
+    reference for the rank-block evaluation."""
     if v == 0.0:
         return np.zeros_like(r)
     cdf = r ** 2 / rl ** 2
@@ -354,8 +358,8 @@ def rank_density_ref(k, r, v, rl):
 
 class TestOrderedDistance:
     def test_zero_at_origin_for_higher_ranks(self, deploy):
-        assert ordered_distance_pdf(2, 0.0, deploy, 100.0) == 0.0
-        assert ordered_distance_pdf(5, 0.0, deploy, 100.0) == 0.0
+        assert rank_density(2, 0.0, deploy, 100.0) == 0.0
+        assert rank_density(5, 0.0, deploy, 100.0) == 0.0
 
     def test_first_rank_mass(self, deploy):
         rl = 100.0
@@ -363,7 +367,7 @@ class TestOrderedDistance:
         r, w = np.polynomial.legendre.leggauss(400)
         r = 0.5 * rl * (r + 1.0)
         w = 0.5 * rl * w
-        mass = float((ordered_distance_pdf(1, r, deploy, rl) * w).sum())
+        mass = float((rank_density(1, r, deploy, rl) * w).sum())
         assert mass == pytest.approx(1.0 - math.exp(-v), rel=1e-9)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -373,7 +377,7 @@ class TestOrderedDistance:
         r, w = np.polynomial.legendre.leggauss(800)
         r = 0.5 * rl * (r + 1.0)
         w = 0.5 * rl * w
-        mass = float((ordered_distance_pdf(k, r, deploy, rl) * w).sum())
+        mass = float((rank_density(k, r, deploy, rl) * w).sum())
         tail = 1.0 - sum(math.exp(-v) * v ** j / math.factorial(j) for j in range(k))
         assert mass == pytest.approx(tail, abs=1e-6)
 
@@ -386,13 +390,9 @@ class TestOrderedDistance:
         r, w = np.polynomial.legendre.leggauss(800)
         r = 0.5 * rl * (r + 1.0)
         w = 0.5 * rl * w
-        mass = float((ordered_distance_pdf(k, r, deploy, rl) * w).sum())
+        mass = float((rank_density(k, r, deploy, rl) * w).sum())
         tail = 1.0 - sum(math.exp(-v) * v ** j / math.factorial(j) for j in range(k))
         assert mass == pytest.approx(tail, rel=1e-9)
-
-    def test_rejects_bad_rank(self, deploy):
-        with pytest.raises(ParameterError):
-            ordered_distance_pdf(0, 10.0, deploy, 100.0)
 
     @pytest.mark.parametrize("nodes", [64, 128, 256, 512])
     @pytest.mark.parametrize("worker_intensity", [7e-4, 2e-5, 0.0])  # table1, V < 1, V = 0
@@ -402,7 +402,7 @@ class TestOrderedDistance:
         r0, _ = coverage._gauss_nodes(nodes, 0.0, rl)
         ranks = tuple(range(1, 61))
         table = ServingDensity(deploy, ranks)._weights(r0, rl)
-        assert np.array_equal(table, np.stack([ordered_distance_pdf(k, r0, deploy, rl)
+        assert np.array_equal(table, np.stack([rank_density(k, r0, deploy, rl)
                                                for k in ranks]))
         # the same bits as the density evaluated one rank at a time
         v = deploy.mean_los_workers(rl)
@@ -412,7 +412,7 @@ class TestOrderedDistance:
 def rank_mass(k, deploy, rl=100.0, nodes=800):
     """Total mass of the rank-k density by Gauss-Legendre quadrature."""
     r, w = np.polynomial.legendre.leggauss(nodes)
-    return float((ordered_distance_pdf(k, 0.5 * rl * (r + 1.0), deploy, rl)
+    return float((rank_density(k, 0.5 * rl * (r + 1.0), deploy, rl)
                   * (0.5 * rl * w)).sum())
 
 
@@ -456,8 +456,8 @@ def per_quantity(radio, density, xi_db):
         kern = coverage._kernel(r0, radio, nu_r, xi, 2 * n)
         if density.ranks is None:
             return float((kern * (2.0 * r0 / rl ** 2) * w0).sum())
-        dens = np.stack([ordered_distance_pdf(k, r0, density.deploy, rl)
-                         for k in density.ranks])
+        v = density.deploy.mean_los_workers(rl)
+        dens = np.stack([rank_density_ref(k, r0, v, rl) for k in density.ranks])
         return dens @ (kern * w0)
 
     n = coverage._START_NODES

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,14 +23,15 @@ from eecsim.errors import ParameterError
 from eecsim.montecarlo import (
     _PURPOSE_SPATIAL,
     _PURPOSE_TRAJECTORY,
+    _SPAN,
     SimConfig,
     _Field,
     _JumpRows,
+    _rng,
     _sinrs,
-    _streams,
+    _steps,
     default_arena_radius,
     empirical_delay,
-    empirical_success_curve,
     empirical_success_curves,
 )
 from eecsim.params import DeploymentParams, db_to_linear, directivity_distribution
@@ -40,58 +42,130 @@ COVERAGE_BIAS_ALLOWANCE = 0.02
 ANCHORS = ("worker", "requester")
 
 
+def curve(cfg, query, xi_db_values, los_classification="worker"):
+    """Monte Carlo success estimates of one query at several thresholds."""
+    return empirical_success_curves(cfg, [(query, los_classification)], xi_db_values)[0]
+
+
 def estimate(cfg, query, **kwargs):
     """Monte Carlo success estimate at the query's own threshold."""
-    return empirical_success_curve(cfg, query, [query.radio.sinr_threshold_db], **kwargs)[0]
+    return curve(cfg, query, [query.radio.sinr_threshold_db], **kwargs)[0]
 
 
-def stream_rng(seed, replication, purpose):
-    """A fresh generator on one replication's stream for one purpose: Philox
-    keyed by (seed, purpose), the replication in counter word 2."""
+def page_rng(seed, purpose, page, block=0):
+    """A fresh plain generator on one page's stream for one purpose: Philox
+    keyed by (seed, purpose), the page in counter word 2 and the trajectory
+    block in word 3."""
     return np.random.Generator(np.random.Philox(key=seed + (purpose << 64),
-                                                counter=replication << 128))
+                                                counter=(block << 192) | (page << 128)))
 
 
-def run_trajectory(jumps, rng):
-    """One exponential-race trajectory on the jump rows, absorbed:
-    (delay, completed).  The scalar walk the batched estimator replaces:
-    the state (f, c, u) reads its row and takes the chosen move's step.
-    The sojourn's log is numpy's, as the estimator takes it: ``math.log1p``
-    can differ from it in the last bit."""
-    f = c = u = 0
-    t = 0.0
-    while f < jumps.n:
+def pages(reps, start=0):
+    """(page, replications in it) of each page of a run of ``reps`` from the
+    one holding replication ``start``, at the current page size."""
+    size = montecarlo._PAGE
+    return [(p, min(size, reps - p * size)) for p in range(start // size, -(-reps // size))]
+
+
+def page_sinrs(fields, seed, page, size):
+    """The page oracle of the spatial sampler: a page's SINRs under each of
+    ``fields`` (one layout) and its redraw count, from plain generator calls
+    in the stream's order.  Short worker counts are redrawn in row order,
+    then come the head rows, the interferer counts and every interferer row
+    in one call; each replication's interference is a left-to-right sum in
+    a Python loop."""
+    lead = fields[0]
+    rng = page_rng(seed, _PURPOSE_SPATIAL, page)
+    n_w = rng.poisson(lead.mean_workers, size)
+    redraws = 0
+    while (short := np.flatnonzero(n_w < lead.need)).size:
+        redraws += short.size
+        n_w[short] = rng.poisson(lead.mean_workers, short.size)
+    head = rng.random((size, lead.head_width))
+    counts = rng.poisson(lead.mean_interferers, size)
+    u = rng.random((int(counts.sum()), lead.width))
+    starts = np.cumsum(counts) - counts
+    out = []
+    for field in fields:
+        r0sq, signal = field.serving(head, n_w)
+        powers = field.interference(u, np.repeat(r0sq, counts)).tolist()
+        row = []
+        for r in range(size):
+            power = 0.0
+            for p in powers[starts[r]:starts[r] + counts[r]]:
+                power += p
+            row.append(signal[r] / (field.noise + power))
+        out.append(row)
+    return np.array(out), redraws
+
+
+def walk(jumps, state, draws):
+    """One lane's exponential-race walk on the jump rows, the scalar walk the
+    batched estimator replaces: from ``state`` (f, c, u, t), each step takes
+    a (sojourn, move) pair of ``draws``; the state reads its row and takes
+    the chosen move's step.  Returns the state and, once absorbed, whether
+    the task completed (None while it is alive).  The sojourn's log is
+    numpy's, as the estimator takes it: ``math.log1p`` can differ from it in
+    the last bit."""
+    f, c, u, t = state
+    for sojourn, x in draws:
         row = jumps.row(f, c, u)
-        t += -np.log1p(-np.array([rng.random()]))[0] / jumps.rate[row]
-        x = rng.random()
+        t += -np.log1p(-np.array([sojourn]))[0] / jumps.rate[row]
         cum = jumps.cum[row].tolist()
         move = 0
         while cum[move] < x:
             move += 1
         if move == len(STEPS):  # FAIL
-            return float(t), False
+            return (f, c, u, float(t)), False
         df, dc, du = STEPS[move]
         f, c, u = f + df, c + dc, u + du
-    return float(t), True
+        if f == jumps.n:
+            return (f, c, u, float(t)), True
+    return (f, c, u, t), None
+
+
+def page_trajectories(jumps, seed, page, size):
+    """The page oracle of the trajectory sampler: one model's delays of a
+    page's lanes, in lane order, its completions and the rows of each block.
+    Each lane walks alone; block b is a plain generator at counter (page, b)
+    with one row of ``_SPAN`` steps for each lane alive at its start, in
+    lane order."""
+    live = [(lane, (0, 0, 0, 0.0)) for lane in range(size)]
+    delays, completed, widths = [0.0] * size, 0, []
+    while live:
+        block = len(widths)
+        widths.append(len(live))
+        u = page_rng(seed, _PURPOSE_TRAJECTORY, page, block).random((len(live), _SPAN, 2))
+        still = []
+        for draws, (lane, state) in zip(u.tolist(), live):
+            state, done = walk(jumps, state, draws)
+            if done is None:
+                still.append((lane, state))
+            else:
+                delays[lane] = state[3]
+                completed += done
+        live = still
+    return delays, completed, widths
 
 
 def one_by_one(seed, reps, model):
-    """Delay estimate of one model, trajectory by trajectory on fresh
-    generators: (mean, standard error, completion fraction)."""
+    """Delay estimate of one model from the page oracle, trajectory by
+    trajectory: (mean, standard error, completion fraction)."""
     jumps = _JumpRows(model)
-    runs = [run_trajectory(jumps, stream_rng(seed, rep, _PURPOSE_TRAJECTORY))
-            for rep in range(reps)]
-    delays = [d for d, _ in runs]
+    delays, completed = [], 0
+    for page, size in pages(reps):
+        page_delays, done, _ = page_trajectories(jumps, seed, page, size)
+        delays += page_delays
+        completed += done
     mean = math.fsum(delays) / reps
     se = math.sqrt(math.fsum((d - mean) ** 2 for d in delays) / (reps - 1) / reps)
-    return mean, se, sum(done for _, done in runs) / reps
+    return mean, se, completed / reps
 
 
-def draw_sinr(seed, radio, deploy, anchor="worker", selection=RankedSelection(1),
-              replication=0):
-    """The estimator's sampler on one replication of ``seed``: nearest worker."""
+def draw_sinr(seed, radio, deploy, anchor="worker", selection=RankedSelection(1)):
+    """The estimator's sampler on a one-replication page of ``seed``: nearest worker."""
     field = _Field(CoverageQuery(radio, deploy, selection), anchor == "worker")
-    return float(_sinrs([field], seed, [replication])[0][0, 0])
+    return float(_sinrs([field], seed, 0, 1)[0][0, 0])
 
 
 def edge_snr(radio):
@@ -159,24 +233,23 @@ class TestSampling:
             draw_sinr(5, radio, DeploymentParams(0.0, 1e-4))
 
     def test_estimator_follows_replication_streams(self, radio, deploy):
-        # the estimator rewinds one generator to each replication's stream, so
-        # it must see exactly the SINRs a fresh generator per replication
-        # draws; thresholds midway between them recover every rank
+        # the estimator must see exactly the SINRs of the page oracle's plain
+        # generator calls; thresholds midway between them recover every rank
         reps = 40
-        sinrs = sorted(draw_sinr(8, radio, deploy, replication=r) for r in range(reps))
-        db = [10.0 * math.log10(x) for x in sinrs]
-        mids = [(a + b) / 2.0 for a, b in zip(db, db[1:])]
         query = CoverageQuery(radio, deploy, RankedSelection(1))
-        ests = empirical_success_curve(SimConfig(seed=8, replications=reps), query, mids)
+        sinrs, _ = page_sinrs([_Field(query, True)], 8, 0, reps)
+        db = sorted(10.0 * math.log10(x) for x in sinrs[0])
+        mids = [(a + b) / 2.0 for a, b in zip(db, db[1:])]
+        ests = curve(SimConfig(seed=8, replications=reps), query, mids)
         assert [round(e.estimate * reps) for e in ests] == list(range(reps - 1, 0, -1))
         assert ests[0].resampled_realizations == 0
 
     def test_mean_worker_count(self, radio, deploy):
-        # the count is each stream's first draw, redrawn while it is 0, so it
-        # is Poisson(v) given at least one: mean v / (1 - e^-v), variance at most v
+        # each count is redrawn while it is 0, so it is Poisson(v) given at
+        # least one: mean v / (1 - e^-v), variance at most v
         field = _Field(CoverageQuery(radio, deploy, RandomSelection()), True)
         v = deploy.mean_los_workers(radio.los_radius_m)
-        counts = [field.counts(stream_rng(seed, 0, _PURPOSE_SPATIAL))[0] for seed in range(10_000)]
+        counts, _ = field.workers(page_rng(0, _PURPOSE_SPATIAL, 0), 10_000)
         sigma = math.sqrt(v / len(counts))
         assert np.mean(counts) == pytest.approx(v / -math.expm1(-v), abs=3 * sigma)
 
@@ -198,7 +271,7 @@ class TestSampling:
         xis = [10.0 * math.log10(edge_snr(quiet) * f ** (-quiet.pathloss_exp_los))
                for f in fractions]
         query = CoverageQuery(quiet, deploy, RankedSelection(rank))
-        ests = empirical_success_curve(SimConfig(seed=9, replications=reps), query, xis)
+        ests = curve(SimConfig(seed=9, replications=reps), query, xis)
         for est, f in zip(ests, fractions):
             p = at_least(v * f * f) / at_least(v)
             assert abs(est.estimate - p) <= 3 * math.sqrt(p * (1 - p) / reps), f
@@ -211,7 +284,7 @@ class TestSampling:
         cfg = SimConfig(seed=4, replications=2000)
         for selection in (RandomSelection(), RankedSelection(3)):
             query = CoverageQuery(quiet, DeploymentParams(7e-4, 0.0), selection)
-            assert empirical_success_curve(cfg, query, [xi_db])[0].estimate == 1.0
+            assert curve(cfg, query, [xi_db])[0].estimate == 1.0
 
     def test_arena_default(self, radio, deploy):
         # at the preset the NLoS tail radius, about 106 m, lies inside the
@@ -243,12 +316,10 @@ class TestSampling:
         # window and at 10 R_L (independent seeds) agree within 3 sigma
         query = CoverageQuery(replace(radio, los_radius_m=rl), deploy, RandomSelection())
         reps = 5000
-        default = empirical_success_curve(SimConfig(seed=51, replications=reps), query,
-                                          [xi_db], los_classification=anchor)[0]
+        default = curve(SimConfig(seed=51, replications=reps), query, [xi_db], anchor)[0]
         monkeypatch.setattr(montecarlo, "default_arena_radius",
                             lambda radio, deploy: 10.0 * radio.los_radius_m)
-        wide = empirical_success_curve(SimConfig(seed=52, replications=reps), query,
-                                       [xi_db], los_classification=anchor)[0]
+        wide = curve(SimConfig(seed=52, replications=reps), query, [xi_db], anchor)[0]
         combined_se = math.hypot(default.std_error, wide.std_error)
         assert abs(default.estimate - wide.estimate) <= 3 * combined_se
 
@@ -262,8 +333,7 @@ class TestLinkSinr:
         fractions = (0.3, 0.6, 0.9)
         xis = [10.0 * math.log10(edge_snr(quiet) * f ** (-quiet.pathloss_exp_los))
                for f in fractions]
-        for est, f in zip(empirical_success_curve(SimConfig(seed=3, replications=4000),
-                                                  query, xis), fractions):
+        for est, f in zip(curve(SimConfig(seed=3, replications=4000), query, xis), fractions):
             assert abs(est.estimate - f * f) <= 3 * math.sqrt(f * f * (1 - f * f) / 4000)
 
     def test_interference_lowers_sinr(self, radio, deploy):
@@ -289,37 +359,54 @@ class TestLinkSinr:
             estimate(SimConfig(seed=1, replications=1), query, los_classification="origin")
 
 
-def runs_over_chunks_and_blocks(monkeypatch, query, reps, blocks):
-    """The estimate at every chunk width 1, 64 and 500 and every block size,
-    and the replications' SINRs at every block size, which must agree bit
-    for bit (a threshold count would hide a last-bit difference)."""
+def runs_over_blocks(monkeypatch, query, reps, blocks):
+    """The estimate, twice, and the page's SINRs at every block size, which
+    must agree bit for bit (a threshold count would hide a last-bit
+    difference)."""
     runs, sinrs = [], []
     for block in blocks:
         monkeypatch.setattr(montecarlo, "_BLOCK", block)
-        sinrs.append(_sinrs([_Field(query, True)], 7, range(reps)))
-        for chunk in (1, 64, 500):
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            runs.append(empirical_success_curve(SimConfig(seed=7, replications=reps), query,
-                                                [-5.0, 0.0, 5.0, 10.0]))
+        sinrs.append(_sinrs([_Field(query, True)], 7, 0, reps))
+        for _ in range(2):
+            runs.append(curve(SimConfig(seed=7, replications=reps), query,
+                              [-5.0, 0.0, 5.0, 10.0]))
     assert all(np.array_equal(s[0], sinrs[0][0]) and s[1] == sinrs[0][1] for s in sinrs)
     return runs
 
 
 class TestEmpiricalCoverage:
-    def test_reproducible_and_chunk_invariant(self, radio, deploy, monkeypatch):
+    def test_reproducible_and_block_invariant(self, radio, deploy, monkeypatch):
         # rank 2 at the preset; the small block holds fewer interferer rows
-        # than one replication draws, so replications straddle buffer refills
+        # than one replication draws, so replications straddle slices
         query = CoverageQuery(radio, deploy, RankedSelection(2))
-        runs = runs_over_chunks_and_blocks(monkeypatch, query, 500, (montecarlo._BLOCK, 50))
+        runs = runs_over_blocks(monkeypatch, query, 500, (montecarlo._BLOCK, 50))
         assert all(run == runs[0] for run in runs)
 
     def test_block_invariant_at_the_window_cap(self, radio, deploy, monkeypatch):
         # alpha_N = 2.2 at R_L = 300 m: the window is 100 R_L, about 2.8e5
-        # interferers per replication, each streamed through many refills
+        # interferers per replication, each read over many slices
         query = CoverageQuery(replace(radio, los_radius_m=300.0, pathloss_exp_nlos=2.2),
                               deploy, RandomSelection())
-        runs = runs_over_chunks_and_blocks(monkeypatch, query, 5, (montecarlo._BLOCK, 3000))
+        runs = runs_over_blocks(monkeypatch, query, 5, (montecarlo._BLOCK, 3000))
         assert all(run == runs[0] for run in runs)
+
+    def test_wide_window_memory_is_bounded(self, radio, deploy, monkeypatch):
+        # about 1e4 interferers per replication, 1e6 in the page: the page
+        # reads them in slices of _BLOCK elements, so its peak stays far
+        # below one 8-byte owner index per interferer of the page
+        monkeypatch.setattr(montecarlo, "default_arena_radius",
+                            lambda radio, deploy: math.sqrt(1e4 / (math.pi * 1e-4)))
+        monkeypatch.setattr(montecarlo, "_BLOCK", 1 << 12)
+        field = _Field(CoverageQuery(radio, deploy, RandomSelection()), True)
+        assert field.mean_interferers == pytest.approx(1e4)
+        reps = 100
+        tracemalloc.start()
+        try:
+            _sinrs([field], 3, 0, reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
 
     def test_linear_values_read_once_per_call(self, radio, deploy, monkeypatch):
         # the radio's linear values are converted once per estimate, not once
@@ -348,7 +435,7 @@ class TestEmpiricalCoverage:
 
     def test_threshold_zero_limit(self, radio, deploy):
         query = CoverageQuery(radio, deploy, RandomSelection())
-        est = empirical_success_curve(SimConfig(seed=11, replications=2000), query, [-60.0])[0]
+        est = curve(SimConfig(seed=11, replications=2000), query, [-60.0])[0]
         assert est.estimate > 0.999
 
     def test_interference_monotone_in_intensity(self, radio):
@@ -423,17 +510,19 @@ class TestBatchedCoverage:
         samples = mixed_samples(radio, deploy)
         cfg = SimConfig(seed=12, replications=300)
         batched = empirical_success_curves(cfg, samples, self.XIS)
-        assert batched == [empirical_success_curve(cfg, query, self.XIS, los_classification=a)
-                           for query, a in samples]
-        # and each layout's SINRs bit for bit, against every field alone
+        assert batched == [curve(cfg, query, self.XIS, a) for query, a in samples]
+        # and each layout's SINRs bit for bit, against every field alone and
+        # against the page oracle
         fields = [_Field(query, a == "worker") for query, a in samples]
         assert len({field.layout for field in fields}) == 4
         for layout in {field.layout for field in fields}:
             group = [field for field in fields if field.layout == layout]
-            shared, redraws = _sinrs(group, 12, range(300))
+            shared, redraws = _sinrs(group, 12, 0, 300)
             assert shared.shape == (len(group), 300)
+            want, want_redraws = page_sinrs(group, 12, 0, 300)
+            assert np.array_equal(shared, want) and redraws == want_redraws
             for field, row in zip(group, shared):
-                alone = _sinrs([field], 12, range(300))
+                alone = _sinrs([field], 12, 0, 300)
                 assert np.array_equal(row, alone[0][0]) and redraws == alone[1]
 
     def test_head_width_alone_does_not_share_a_pass(self, radio):
@@ -448,7 +537,7 @@ class TestBatchedCoverage:
         assert fields[0].width == fields[1].width
         cfg = SimConfig(seed=16, replications=200)
         assert empirical_success_curves(cfg, samples, self.XIS) \
-            == [empirical_success_curve(cfg, query, self.XIS) for query, _ in samples]
+            == [curve(cfg, query, self.XIS) for query, _ in samples]
 
     def test_permuted_samples_permute_results(self, radio, deploy):
         samples = mixed_samples(radio, deploy)
@@ -458,19 +547,17 @@ class TestBatchedCoverage:
         assert empirical_success_curves(cfg, [samples[i] for i in order], self.XIS) \
             == [base[i] for i in order]
 
-    def test_chunk_and_block_invariant(self, radio, deploy, monkeypatch):
+    def test_block_invariant(self, radio, deploy, monkeypatch):
         # a block of 50 elements holds fewer interferer rows than one
-        # replication draws, so replications straddle buffer refills; the
-        # sparse rank-2 sample redraws worker counts in every chunk width
+        # replication draws, so replications straddle slices; the sparse
+        # rank-2 sample redraws worker counts
         sparse = CoverageQuery(radio, DeploymentParams(2e-5, 1e-4), RankedSelection(2))
         samples = mixed_samples(radio, deploy) + [(sparse, "worker")]
         cfg = SimConfig(seed=14, replications=150)
         runs = []
-        for block in (montecarlo._BLOCK, 50):
+        for block in (montecarlo._BLOCK, 50, montecarlo._BLOCK):
             monkeypatch.setattr(montecarlo, "_BLOCK", block)
-            for chunk in (1, 64, 500):
-                monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-                runs.append(empirical_success_curves(cfg, samples, self.XIS))
+            runs.append(empirical_success_curves(cfg, samples, self.XIS))
         field = _Field(samples[0][0], True)
         assert field.mean_interferers > 50 // field.width
         assert runs[0][-1][0].resampled_realizations > 0
@@ -502,20 +589,31 @@ def uneven_draws(rng, i):
 
 
 class TestStreamKeys:
-    """Streams keyed by (seed, purpose), one counter block per replication."""
+    """Streams keyed by (seed, purpose), one counter block per page."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2026, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1])
     @pytest.mark.parametrize("purpose", [_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY])
     @pytest.mark.parametrize("start,stop", [(0, 70), (4090, 4200), (2 ** 32 - 3, 2 ** 32)])
-    def test_matches_fresh_philox(self, seed, purpose, start, stop):
-        # the extreme seeds fill the seed's key word; the last range ends at
-        # the largest replication count, past any 32-bit index
-        reps = range(start, stop)
-        for i, (rep, rng) in enumerate(zip(reps, _streams(seed, purpose, reps))):
-            assert uneven_draws(rng, i) == uneven_draws(stream_rng(seed, rep, purpose), i)
+    def test_matches_fresh_philox(self, radio, deploy, seed, purpose, start, stop):
+        # the pages that hold replications start..stop - 1 of a run of stop,
+        # against the page oracle's plain generators: the extreme seeds fill
+        # the seed's key word, and the last range ends at the largest
+        # replication count, past any 32-bit index
+        field = _Field(CoverageQuery(radio, deploy, RankedSelection(2)), True)
+        for page, size in pages(stop, start):
+            if purpose == _PURPOSE_SPATIAL:
+                got, redraws = _sinrs([field], seed, page, size)
+                want, want_redraws = page_sinrs([field], seed, page, size)
+                assert np.array_equal(got, want) and redraws == want_redraws
+                continue
+            for block in (0, 1, 7):
+                exps, moves = _steps(seed, page, block, size)
+                u = page_rng(seed, purpose, page, block).random(2 * _SPAN * size)
+                assert np.array_equal(exps.ravel(), -np.log1p(-u[0::2]))
+                assert np.array_equal(moves.ravel(), u[1::2])
 
     def test_purposes_differ(self):
-        spatial, trajectory = ([rng.random(4).tolist() for rng in _streams(5, purpose, range(3))]
+        spatial, trajectory = ([_rng(5, purpose, page).random(4).tolist() for page in range(3)]
                                for purpose in (_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY))
         assert all(a != b for a in spatial for b in trajectory)
 
@@ -535,22 +633,25 @@ class TestStreamKeys:
             SimConfig(seed=1, replications=2 ** 32 + 1)
 
     def test_streams_rewind_to_fresh_generators(self):
-        # rewinding to replications out of order and with gaps, as lanes that
-        # outrun their prefix do, must not leak one stream's buffered output
-        # into the next
-        reps = np.array([3, 0, 9, 1, 2 ** 40, 4])
-        for purpose in (_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY):
-            for i, (rep, rng) in enumerate(zip(reps, _streams(3, purpose, reps))):
-                assert uneven_draws(rng, i) == uneven_draws(stream_rng(3, int(rep), purpose), i)
+        # pages and trajectory blocks read out of order and with gaps, as
+        # lanes that outlive a block do, each start a fresh stream: no
+        # buffered output leaks from one into the next
+        for i, (page, block) in enumerate([(3, 0), (0, 2), (9, 1), (1, 0), (2 ** 40, 5), (3, 1)]):
+            for purpose in (_PURPOSE_SPATIAL, _PURPOSE_TRAJECTORY):
+                assert (uneven_draws(_rng(3, purpose, page, block), i)
+                        == uneven_draws(page_rng(3, purpose, page, block), i))
+            exps, moves = _steps(3, page, block, i + 1)
+            u = page_rng(3, _PURPOSE_TRAJECTORY, page, block).random((i + 1, _SPAN, 2))
+            assert np.array_equal(moves, u[:, :, 1])
 
 
 class TestTrajectories:
     def test_deterministic(self):
         model = build_baseline(3, 1.0, 0.02)
-        a = run_trajectory(_JumpRows(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
-        b = run_trajectory(_JumpRows(model), stream_rng(99, 0, _PURPOSE_TRAJECTORY))
+        a = page_trajectories(_JumpRows(model), 99, 0, 5)
+        b = page_trajectories(_JumpRows(model), 99, 0, 5)
         assert a == b
-        assert a[0] > 0.0 and a[1] is True
+        assert min(a[0]) > 0.0 and a[1] == 5 and a[2] == [5]
 
     def test_instant_allocation_single_segment(self):
         model = build_baseline(1, 1e9, 0.02)
@@ -588,14 +689,6 @@ class TestTrajectories:
         est = empirical_delay(SimConfig(seed=12, replications=500), [model])[0]
         assert est.completion_fraction == 1.0
 
-    def test_reproducible_and_chunk_invariant(self, monkeypatch):
-        models = mixed_batch()
-        runs = []
-        for chunk in (1, 37, 400):
-            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            runs.append(empirical_delay(SimConfig(seed=13, replications=400), models))
-        assert runs[0] == runs[1] == runs[2]
-
     @pytest.mark.parametrize("model", [
         # unlimited spares, each worker failing five times faster than it
         # completes: about six tries per segment
@@ -603,15 +696,34 @@ class TestTrajectories:
         # failures outpace completions and ten are survived before FAIL
         build_failure_chain(3, [0.9, 0.6, 0.4], 0.05, 0.1, spare_budget=10),
     ], ids=["unlimited", "budget10"])
-    @pytest.mark.parametrize("chunk", [1, 7, 300])
-    def test_long_trajectories_regrow_the_prefix(self, model, chunk, monkeypatch):
-        # the estimator holds a prefix of each stream as long as the
-        # shortest trajectory of the chain, 2n steps, and doubles it for the
-        # lanes that outrun it; these chains outrun it several times
-        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    @pytest.mark.parametrize("page", [1, 7, 300])
+    def test_long_trajectories_regrow_the_prefix(self, model, page, monkeypatch):
+        # lanes alive at the end of a block of _SPAN steps read the next
+        # block; these chains outlive several, at page sizes from one lane
+        # to the whole run
+        monkeypatch.setattr(montecarlo, "_PAGE", page)
         est = empirical_delay(SimConfig(seed=44, replications=300), [model])[0]
         assert (est.mean_delay_s, est.std_error_s, est.completion_fraction) == (
             one_by_one(44, 300, model))
+
+
+    def test_later_blocks_hold_live_lanes_only(self, monkeypatch):
+        # the first block serves every model; a later one is drawn per model,
+        # with one row per lane of that model alive at its start
+        drawn = []
+        steps = montecarlo._steps
+
+        def counting(seed, page, block, lanes):
+            drawn.append((block, lanes))
+            return steps(seed, page, block, lanes)
+
+        monkeypatch.setattr(montecarlo, "_steps", counting)
+        slow, fast = build_failure_chain(2, [1.0, 1.0], 0.5, 0.05), build_baseline(1, 1.0, 0.02)
+        empirical_delay(SimConfig(seed=46, replications=300), [slow, fast, slow])
+        widths = page_trajectories(_JumpRows(slow), 46, 0, 300)[2]
+        assert len(widths) > 2 and widths[0] == 300 > widths[1]
+        # the n = 1 chain ends within the first block and reads no other
+        assert drawn == [(0, 300)] + list(enumerate(widths))[1:] * 2
 
 
 def mixed_batch():
@@ -631,11 +743,11 @@ def mixed_batch():
 
 
 class TestBatch:
-    """One call over many models replays each replication's stream per model."""
+    """One call over many models steps each page's lanes per model."""
 
     def test_matches_trajectories_one_by_one(self, monkeypatch):
-        # bit for bit, with a chunk width that does not divide the count
-        monkeypatch.setattr(montecarlo, "_CHUNK", 64)
+        # bit for bit, with a page size that does not divide the count
+        monkeypatch.setattr(montecarlo, "_PAGE", 64)
         models = mixed_batch()
         ests = empirical_delay(SimConfig(seed=41, replications=300), models)
         assert len(ests) == len(models)
