@@ -320,7 +320,11 @@ def _steps(seed: int, page: int, block: int, lanes: int) -> tuple[np.ndarray, np
     sojourns as unit exponentials ``-log1p(-U)`` of the first, and the move
     uniforms."""
     u = _rng(seed, _PURPOSE_TRAJECTORY, page, block).random((lanes, _SPAN, 2))
-    return -np.log1p(-u[:, :, 0]), u[:, :, 1]
+    # sojourns in place and the moves copied out: a block keeps no more
+    # memory than its own uniforms
+    exps = np.negative(u[:, :, 0])
+    np.negative(np.log1p(exps, out=exps), out=exps)
+    return exps, u[:, :, 1].copy()
 
 
 def _trajectories(jumps: _JumpRows, first: tuple[np.ndarray, np.ndarray],
