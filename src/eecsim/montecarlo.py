@@ -151,8 +151,8 @@ class _Field:
                        self.mean_interferers, self.width)
 
     def workers(self, rng, size: int) -> tuple[np.ndarray, int]:
-        """Draw ``size`` LoS worker counts, redrawing the rows the selection
-        rule lacks a worker in as one vector, in row order, until none does;
+        """Draw ``size`` LoS worker counts, redrawing the rows too small for
+        the selection rule as one vector, in row order, until none is;
         returns them and the number of redraws."""
         n_w = rng.poisson(self.mean_workers, size)
         redraws = 0
