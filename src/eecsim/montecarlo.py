@@ -9,11 +9,16 @@ interference sums run over the page as arrays.  Estimates whose replications
 draw the same stream layout (worker and interferer means, selection
 uniforms, row widths) share one pass per layout: each page is drawn once,
 and every estimate reads the shared rows through its own serving rule and
-blockage anchor.  Temporal side: :func:`empirical_delay` simulates
-trajectories of a batch of :class:`~eecsim.chain.ChainModel` by exponential
-races and estimates absorption delay and completion fractions, stepping each
-state (f, c, u) on the 4 (n + 1) rows of the chain's rate table
-(:class:`_JumpRows`).
+blockage anchor.  The terms of an interferer row that depend on its
+uniforms alone (the angle's cosine, the fade sums, the alignment-gain
+index) are computed once per slice of rows for every estimate of the pass
+(:class:`_Slice`); each estimate computes the rest, its distances, blockage
+classes and path losses, itself.  Temporal side: :func:`empirical_delay`
+simulates trajectories of a batch of :class:`~eecsim.chain.ChainModel` by
+exponential races and estimates absorption delay and completion fractions,
+stepping each state (f, c, u) on the 4 (n + 1) rows of the chain's rate
+table (:class:`_JumpRows`), where a move is the count of the row's
+thresholds below the move uniform.
 
 Reproducibility contract: replications come in pages of ``_PAGE``, and each
 page draws from its own Philox streams, one per purpose.  Philox is
@@ -23,7 +28,9 @@ and page p starts at counter p << 128, so p sits in counter word 2 and the
 steps sits at counter word 3 = b.  So results depend on the seed and the
 replication count only.  Aggregation is exact (integer counts, correctly
 rounded float sums, interference summed left to right in stream order), so
-they do not depend on ``_BLOCK``.  The models of one :func:`empirical_delay`
+they do not depend on ``_BLOCK``.  A shared term is the same float, bit for
+bit, that each estimate would compute from the same uniforms alone, so no
+result depends on which estimates share a pass either.  The models of one :func:`empirical_delay`
 call step a page's replications as lockstep numpy lanes over one shared
 first block, and each model's lanes that outlive a block read the next one
 themselves, so a model's estimate is the same alone or in any batch.
@@ -56,6 +63,8 @@ _MAX_SEED = 2 ** 64 - 1
 _PURPOSE_SPATIAL = 1
 _PURPOSE_TRAJECTORY = 2
 _RESAMPLE_LIMIT = 10_000
+_SHORT_OF_WORKERS = ("could not realize a network with enough LoS workers; "
+                     "worker intensity is too small for this selection rule")
 # replications drawn, and stepped as trajectory lanes, together: part of the
 # stream layout, like the counter words
 _PAGE = 4096
@@ -143,6 +152,9 @@ class _Field:
         self.noise = radio.noise_normalized
         # the LoS workers the rule needs, which is also its selection uniforms
         self.need = self.rank or 1
+        if self.mean_workers == 0.0:
+            # every draw would be Poisson(0) = 0 workers, short of the rule's need
+            raise ParameterError(_SHORT_OF_WORKERS)
         self.head_width = self.need + radio.nakagami_los
         # squared radius, angle, alignment gain, then the fade's uniforms
         self.width = 3 + max(self.shapes)
@@ -162,9 +174,7 @@ class _Field:
                 return n_w, redraws
             redraws += short.size
             n_w[short] = rng.poisson(self.mean_workers, short.size)
-        raise ParameterError(
-            "could not realize a network with enough LoS workers; "
-            "worker intensity is too small for this selection rule")
+        raise ParameterError(_SHORT_OF_WORKERS)
 
     def serving(self, head: np.ndarray, n_w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Squared serving distance and signal power of each head row.
@@ -184,8 +194,9 @@ class _Field:
         fade = np.cumsum(exps[:, self.need:], axis=1)[:, -1] / self.shapes[0]
         return r0sq, fade * self.signal_scale * r0sq ** self.exponents[0]
 
-    def interference(self, u: np.ndarray, r0sq: np.ndarray) -> np.ndarray:
-        """Received power of each interferer row ``u`` at a worker r0sq away.
+    def interference(self, u: np.ndarray, terms: _Slice, r0sq: np.ndarray) -> np.ndarray:
+        """Received power of each interferer row ``u`` at a worker r0sq away,
+        from the slice's field-free ``terms``.
 
         Distances run to the receiving worker by the law of cosines, clamped
         at 0 against rounding; the blockage class is judged at the worker or,
@@ -193,14 +204,50 @@ class _Field:
         path loss.
         """
         rad2 = self.arena2 * u[:, 0]
-        cos_ang = np.cos((2.0 * math.pi) * u[:, 1])
-        gain = self.gains[np.searchsorted(self.gain_cum, u[:, 2])]
-        d2 = np.maximum(rad2 + r0sq - 2.0 * np.sqrt(r0sq * rad2) * cos_ang, 0.0)
+        gain = self.gains.take(terms.gain_index(self.gain_cum))
+        d2 = np.maximum(rad2 + r0sq - 2.0 * np.sqrt(r0sq * rad2) * terms.cos_ang, 0.0)
         los = (d2 if self.worker_centric else rad2) <= self.rl2
-        fades = np.cumsum(-np.log1p(-u[:, 3:]), axis=1)
         (m_l, m_n), (e_l, e_n), (c_l, c_n) = self.shapes, self.exponents, self.intercepts
-        return gain * np.where(los, fades[:, m_l - 1] * (c_l / m_l) * d2 ** e_l,
-                               fades[:, m_n - 1] * (c_n / m_n) * d2 ** e_n)
+        return gain * np.where(los, terms.fades[m_l - 1] * (c_l / m_l) * d2 ** e_l,
+                               terms.fades[m_n - 1] * (c_n / m_n) * d2 ** e_n)
+
+
+def _below(bounds, x: np.ndarray) -> np.ndarray:
+    """The number of ``bounds`` below each x, one compare per bound: for
+    bounds in ascending order, ``searchsorted(bounds, x)`` (side left)."""
+    count = np.zeros(x.shape, dtype=np.uint8)
+    for bound in bounds:
+        count += bound < x
+    return count
+
+
+class _Slice:
+    """The terms of a slice of interferer rows ``u`` that no field's
+    constants enter, computed once for every field of a pass: the angle's
+    cosine, the fade sums and the alignment-gain index.  The fade sums are
+    the running sums of the unit exponentials ``-log1p(-U)``, added column by
+    column left to right as a cumulative sum adds them; the gain index is
+    the count of a field's cumulative gain probabilities below the row's
+    gain uniform, kept per distinct table, since fields of one layout may
+    differ in beamwidth."""
+
+    def __init__(self, u: np.ndarray):
+        self.cos_ang = np.multiply(2.0 * math.pi, u[:, 1])
+        np.cos(self.cos_ang, out=self.cos_ang)
+        # in place: a slice keeps one array of fade sums, one column per shape
+        sums = np.negative(u[:, 3:])
+        np.negative(np.log1p(sums, out=sums), out=sums)
+        for j in range(1, sums.shape[1]):
+            sums[:, j] += sums[:, j - 1]
+        self.fades = sums.T
+        self._uniform = u[:, 2]
+        self._index = {}
+
+    def gain_index(self, gain_cum: np.ndarray) -> np.ndarray:
+        key = gain_cum.tobytes()
+        if key not in self._index:
+            self._index[key] = _below(gain_cum, self._uniform)
+        return self._index[key]
 
 
 def _rng(seed: int, purpose: int, page: int, block: int = 0) -> np.random.Generator:
@@ -219,9 +266,14 @@ def _sinrs(fields: list[_Field], seed: int, page: int,
 
     The page's stream holds, in order: its worker counts (:meth:`_Field.workers`),
     its serving uniforms, its interferer counts and its interferer rows in
-    replication order.  The rows are read in slices of ``_BLOCK`` elements,
-    each row's owner found from the cumulative counts, and summed into its
-    owner's power left to right in stream order, so no SINR depends on the
+    replication order.  The rows are read in slices of ``_BLOCK`` elements.
+    A slice's owners are the runs of its replications, from the cumulative
+    counts clipped to the slice.  Its field-free terms (:class:`_Slice`) are
+    computed once: the cosines and fade sums for every field, the gain index
+    for every distinct gain table, since fields of one layout may differ in
+    beamwidth.  Each field then adds its powers into its owners' sums left to
+    right in stream order.  Every shared term is elementwise, with the float
+    operations each field alone would make, so no SINR depends on the
     slicing or on the other fields.
     """
     lead = fields[0]
@@ -234,9 +286,15 @@ def _sinrs(fields: list[_Field], seed: int, page: int,
     rows, total = max(1, _BLOCK // lead.width), int(ends[-1])
     for lo in range(0, total, rows):
         u = rng.random((min(rows, total - lo), lead.width))
-        owner = np.searchsorted(ends, np.arange(lo, lo + len(u)), side="right")
+        hi = lo + len(u)
+        # the owners of the slice's rows: each replication's run of rows,
+        # clipped to the slice
+        first, last = np.searchsorted(ends, (lo, hi - 1), side="right")
+        runs = np.diff(np.minimum(ends[first:last + 1], hi), prepend=lo)
+        owner = np.repeat(np.arange(first, last + 1), runs)
+        terms = _Slice(u)
         for field, (r0sq, _), acc in zip(fields, served, power):
-            np.add.at(acc, owner, field.interference(u, r0sq[owner]))
+            np.add.at(acc, owner, field.interference(u, terms, r0sq[owner]))
     return np.array([signal / (field.noise + acc)
                      for field, (_, signal), acc in zip(fields, served, power)]), redraws
 
@@ -299,7 +357,8 @@ class _JumpRows:
     (:meth:`~eecsim.chain._Lanes.row`), which the row's states share: the
     exit rate (0 if absorbing) and the cumulative jump probabilities of the
     moves (failure, allocation, completion, FAIL), -1 at a rate of 0 and 1
-    at the last positive rate.  4 (n + 1) rows, whatever the spare budget."""
+    at the last positive rate, and the move thresholds the simulator reads.
+    4 (n + 1) rows, whatever the spare budget."""
 
     def __init__(self, model: ChainModel):
         lanes = _Lanes([model])
@@ -312,6 +371,12 @@ class _JumpRows:
         # the last move of positive rate is forced to 1; one of rate 0 is never taken
         cum[np.arange(len(cum)), 3 - np.argmax(moves[:, ::-1] > 0.0, axis=1)] = 1.0
         self.cum = np.where(moves > 0.0, cum, -1.0)
+        # the running maximum of each row's first three entries, one column
+        # each: the first move whose cumulative probability reaches m is the
+        # count of these thresholds below m (the -1 of a skipped leading
+        # move stays below every m)
+        self.thresholds = tuple(np.ascontiguousarray(col)
+                                for col in np.maximum.accumulate(self.cum, axis=1).T[:3])
 
 
 def _steps(seed: int, page: int, block: int, lanes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,30 +398,37 @@ def _trajectories(jumps: _JumpRows, first: tuple[np.ndarray, np.ndarray],
     of successes.  The replications step together as lanes on their states'
     jump rows: the sojourn is the step's exponential over the exit rate, the
     move is the first whose cumulative probability reaches the step's move
-    uniform, and it adds its step (:data:`~eecsim.chain.STEPS`) to the state.
-    Lanes end at FAIL or f == n.  They read the page's ``first`` block, and
-    those alive at a block's end read the next block, one row per live lane
-    in lane order, so the draws depend on this model's lanes alone."""
+    uniform (the count of the row's thresholds below it), and it adds its
+    step (:data:`~eecsim.chain.STEPS`) to the state.  Lanes end at FAIL or
+    f == n, and are dropped on the steps where some end; until then a
+    block's columns are read as they are.  They read the page's ``first``
+    block, and those alive at a block's end read the next block, one row per
+    live lane in lane order, so the draws depend on this model's lanes
+    alone."""
     df, dc, du = (np.array(d + (0,)) for d in zip(*STEPS))  # FAIL, the last move, ends the lane
     exps, moves = first
-    rows = np.arange(len(exps))
-    (f, c, u), t = np.zeros((3, rows.size), dtype=np.intp), np.zeros(rows.size)
-    delays, successes, step = [], 0, 0
-    while rows.size:
+    (f, c, u), t = np.zeros((3, len(exps)), dtype=np.intp), np.zeros(len(exps))
+    # rows: each live lane's row of the block, None while every lane that
+    # started the block lives
+    delays, successes, step, rows = [], 0, 0, None
+    while t.size:
         k = step % _SPAN
         if step and not k:
-            exps, moves = _steps(seed, page, step // _SPAN, rows.size)
-            rows = np.arange(rows.size)
+            exps, moves = _steps(seed, page, step // _SPAN, t.size)
+            rows = None
+        sojourn, m = (exps[:, k], moves[:, k]) if rows is None else (exps[rows, k], moves[rows, k])
         row = jumps.row(f, c, u)
-        t += exps[rows, k] / jumps.rate[row]
-        move = np.argmax(jumps.cum[row] >= moves[rows, k, None], 1)
-        f, c, u = f + df[move], c + dc[move], u + du[move]
+        t += sojourn / jumps.rate[row]
+        move = _below((bound[row] for bound in jumps.thresholds), m)
+        f, c, u = f + df.take(move), c + dc.take(move), u + du.take(move)
         won = f == jumps.n
         done = won | (move == len(STEPS))
-        delays.append(t[done])
-        successes += int(np.count_nonzero(won))
-        live = ~done
-        rows, t, f, c, u = (a[live] for a in (rows, t, f, c, u))
+        if done.any():
+            delays.append(t[done])
+            successes += int(np.count_nonzero(won))
+            live = ~done
+            rows = np.flatnonzero(live) if rows is None else rows[live]
+            t, f, c, u = (a[live] for a in (t, f, c, u))
         step += 1
     return np.concatenate(delays), successes
 
@@ -382,8 +454,8 @@ def empirical_delay(cfg: SimConfig, models: list[ChainModel]) -> list[DelayEstim
     out = []
     for d, done in zip(delays, completed):
         mean = math.fsum(d) / reps
-        se = (math.sqrt(math.fsum(np.square(np.frombuffer(d) - mean)) / (reps - 1) / reps)
-              if reps > 1 else math.inf)
+        squares = np.square(np.frombuffer(d) - mean).tolist()
+        se = math.sqrt(math.fsum(squares) / (reps - 1) / reps) if reps > 1 else math.inf
         out.append(DelayEstimate(mean_delay_s=mean, std_error_s=se,
                                  completion_fraction=done / reps))
     return out

@@ -640,6 +640,27 @@ class TestAgainstJumpReference:
                                           rel=1e-14)
             assert exit_rate == pytest.approx(math.fsum(want.values()), rel=1e-15)
 
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(chains())
+    def test_move_thresholds_pick_the_cumulative_move(self, params):
+        # the simulator's move, the count of a row's thresholds below the
+        # move uniform m, against the first move whose cumulative probability
+        # reaches m, on every row with a move: at m = 0, at each cumulative
+        # entry (every threshold is one) and at its neighbours either side,
+        # as far as they lie in [0, 1]
+        jumps = _JumpRows(chain(*params))
+        assert len(jumps.thresholds) == 3
+        assert all(bound.flags.c_contiguous for bound in jumps.thresholds)
+        for row in np.flatnonzero(jumps.rate > 0.0):
+            cum = jumps.cum[row]
+            ms = {0.0}
+            for t in cum.tolist():
+                ms |= {t, float(np.nextafter(t, -np.inf)), float(np.nextafter(t, np.inf))}
+            ms = np.array(sorted(m for m in ms if 0.0 <= m <= 1.0))
+            rows = np.full(ms.size, row)
+            moves = montecarlo._below((bound[rows] for bound in jumps.thresholds), ms)
+            assert moves.tolist() == [int(np.argmax(cum >= m)) for m in ms]
+
     @pytest.mark.parametrize("budget", [2000, 15000])
     def test_simulation_memory_does_not_grow_with_the_budget(self, budget):
         # numpy reports its buffers to tracemalloc; the simulator keeps

@@ -67,6 +67,23 @@ def pages(reps, start=0):
     return [(p, min(size, reps - p * size)) for p in range(start // size, -(-reps // size))]
 
 
+def page_interference(field, u, r0sq):
+    """Received power of each interferer row ``u`` at a worker r0sq away,
+    written out for one field over a whole page: the alignment gain by
+    ``searchsorted`` on the field's cumulative gain probabilities and the
+    fades by a row-wise ``cumsum``, the forms the sampler's shared slice
+    terms must reproduce bit for bit."""
+    rad2 = field.arena2 * u[:, 0]
+    cos_ang = np.cos((2.0 * math.pi) * u[:, 1])
+    gain = field.gains[np.searchsorted(field.gain_cum, u[:, 2])]
+    d2 = np.maximum(rad2 + r0sq - 2.0 * np.sqrt(r0sq * rad2) * cos_ang, 0.0)
+    los = (d2 if field.worker_centric else rad2) <= field.rl2
+    fades = np.cumsum(-np.log1p(-u[:, 3:]), axis=1)
+    (m_l, m_n), (e_l, e_n), (c_l, c_n) = field.shapes, field.exponents, field.intercepts
+    return gain * np.where(los, fades[:, m_l - 1] * (c_l / m_l) * d2 ** e_l,
+                           fades[:, m_n - 1] * (c_n / m_n) * d2 ** e_n)
+
+
 def page_sinrs(fields, seed, page, size):
     """The page oracle of the spatial sampler: a page's SINRs under each of
     ``fields`` (one layout) and its redraw count, from plain generator calls
@@ -88,7 +105,7 @@ def page_sinrs(fields, seed, page, size):
     out = []
     for field in fields:
         r0sq, signal = field.serving(head, n_w)
-        powers = field.interference(u, np.repeat(r0sq, counts)).tolist()
+        powers = page_interference(field, u, np.repeat(r0sq, counts)).tolist()
         row = []
         for r in range(size):
             power = 0.0
@@ -228,7 +245,7 @@ class TestSampling:
         assert draw_sinr(123, radio, deploy) != draw_sinr(124, radio, deploy)
 
     def test_zero_worker_intensity(self, radio):
-        # no worker to serve: the sampler redraws the count until it gives up
+        # no worker to serve: every count would be 0, so the sampler refuses
         with pytest.raises(ParameterError, match="enough LoS workers"):
             draw_sinr(5, radio, DeploymentParams(0.0, 1e-4))
 
@@ -493,6 +510,19 @@ class TestEmpiricalCoverage:
         with pytest.raises(ParameterError):
             estimate(SimConfig(seed=3, replications=2), query)
 
+    def test_no_workers_fails_before_any_draw(self, radio, deploy, monkeypatch):
+        # Poisson(0) never reaches the one worker a rule needs: the call
+        # fails at once, before any page of any sample is drawn
+        def refuse(*args):
+            raise AssertionError("a page was drawn")
+
+        monkeypatch.setattr(montecarlo, "_rng", refuse)
+        samples = [(CoverageQuery(radio, deploy, RandomSelection()), "worker"),
+                   (CoverageQuery(radio, replace(deploy, worker_intensity_per_m2=0.0),
+                                  RankedSelection(2)), "worker")]
+        with pytest.raises(ParameterError, match="enough LoS workers"):
+            empirical_success_curves(SimConfig(seed=3, replications=10 ** 5), samples, [0.0])
+
 
 def mixed_samples(radio, deploy):
     """Random, rank 1 and rank 2 under both anchors at R_L = 100 m and 60 m:
@@ -503,27 +533,40 @@ def mixed_samples(radio, deploy):
             for r in (radio, near) for selection in selections for anchor in ANCHORS]
 
 
+def beamwidth_samples(radio, deploy):
+    """Random selection and rank 1 at the preset beamwidth and at a third of
+    it, both anchors: one stream layout, as the window stays 2 R_L, but two
+    alignment-gain tables."""
+    narrow = replace(radio, beamwidth_rad=radio.beamwidth_rad / 3.0)
+    return [(CoverageQuery(r, deploy, selection), anchor)
+            for r in (narrow, radio) for selection in (RandomSelection(), RankedSelection(1))
+            for anchor in ANCHORS]
+
+
 class TestBatchedCoverage:
     XIS = [-5.0, 0.0, 5.0, 10.0]
 
     def test_equals_per_sample_calls(self, radio, deploy):
-        samples = mixed_samples(radio, deploy)
         cfg = SimConfig(seed=12, replications=300)
-        batched = empirical_success_curves(cfg, samples, self.XIS)
-        assert batched == [curve(cfg, query, self.XIS, a) for query, a in samples]
-        # and each layout's SINRs bit for bit, against every field alone and
-        # against the page oracle
-        fields = [_Field(query, a == "worker") for query, a in samples]
-        assert len({field.layout for field in fields}) == 4
-        for layout in {field.layout for field in fields}:
-            group = [field for field in fields if field.layout == layout]
-            shared, redraws = _sinrs(group, 12, 0, 300)
-            assert shared.shape == (len(group), 300)
-            want, want_redraws = page_sinrs(group, 12, 0, 300)
-            assert np.array_equal(shared, want) and redraws == want_redraws
-            for field, row in zip(group, shared):
-                alone = _sinrs([field], 12, 0, 300)
-                assert np.array_equal(row, alone[0][0]) and redraws == alone[1]
+        # four layouts; then one layout whose fields read two gain tables
+        for samples, layouts, tables in ((mixed_samples(radio, deploy), 4, 1),
+                                         (beamwidth_samples(radio, deploy), 1, 2)):
+            batched = empirical_success_curves(cfg, samples, self.XIS)
+            assert batched == [curve(cfg, query, self.XIS, a) for query, a in samples]
+            # and each layout's SINRs bit for bit, against every field alone
+            # and against the page oracle
+            fields = [_Field(query, a == "worker") for query, a in samples]
+            assert len({field.layout for field in fields}) == layouts
+            assert len({field.gain_cum.tobytes() for field in fields}) == tables
+            for layout in {field.layout for field in fields}:
+                group = [field for field in fields if field.layout == layout]
+                shared, redraws = _sinrs(group, 12, 0, 300)
+                assert shared.shape == (len(group), 300)
+                want, want_redraws = page_sinrs(group, 12, 0, 300)
+                assert np.array_equal(shared, want) and redraws == want_redraws
+                for field, row in zip(group, shared):
+                    alone = _sinrs([field], 12, 0, 300)
+                    assert np.array_equal(row, alone[0][0]) and redraws == alone[1]
 
     def test_head_width_alone_does_not_share_a_pass(self, radio):
         # random selection at m_L = 3 and rank 2 at m_L = 2 draw four serving
