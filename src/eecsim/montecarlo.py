@@ -28,12 +28,13 @@ and page p starts at counter p << 128, so p sits in counter word 2 and the
 steps sits at counter word 3 = b.  So results depend on the seed and the
 replication count only.  Aggregation is exact (integer counts, correctly
 rounded float sums, interference summed left to right in stream order), so
-they do not depend on ``_BLOCK``.  A shared term is the same float, bit for
-bit, that each estimate would compute from the same uniforms alone, so no
-result depends on which estimates share a pass either.  The models of one :func:`empirical_delay`
-call step a page's replications as lockstep numpy lanes over one shared
-first block, and each model's lanes that outlive a block read the next one
-themselves, so a model's estimate is the same alone or in any batch.
+they do not depend on ``_BLOCK``.  A shared slice term is the float each
+estimate would compute from the same uniforms alone, bit for bit, so no
+result depends on which estimates share a pass either.  The models of one
+:func:`empirical_delay` call step a page's replications as lockstep numpy
+lanes over one shared first block, and each model's lanes that outlive a
+block read the next one themselves, so a model's estimate is the same
+alone or in any batch.
 """
 
 from __future__ import annotations
@@ -222,19 +223,15 @@ def _below(bounds, x: np.ndarray) -> np.ndarray:
 
 
 class _Slice:
-    """The terms of a slice of interferer rows ``u`` that no field's
-    constants enter, computed once for every field of a pass: the angle's
-    cosine, the fade sums and the alignment-gain index.  The fade sums are
-    the running sums of the unit exponentials ``-log1p(-U)``, added column by
-    column left to right as a cumulative sum adds them; the gain index is
-    the count of a field's cumulative gain probabilities below the row's
-    gain uniform, kept per distinct table, since fields of one layout may
-    differ in beamwidth."""
+    """The terms of interferer rows ``u`` that depend on no field: the
+    angle's cosine, the fade sums (unit exponentials ``-log1p(-U)`` added
+    column by column, left to right as a cumulative sum adds them) and the
+    alignment-gain index, one per distinct gain table."""
 
     def __init__(self, u: np.ndarray):
         self.cos_ang = np.multiply(2.0 * math.pi, u[:, 1])
         np.cos(self.cos_ang, out=self.cos_ang)
-        # in place: a slice keeps one array of fade sums, one column per shape
+        # in place: a slice keeps one array of fade sums, column m - 1 for shape m
         sums = np.negative(u[:, 3:])
         np.negative(np.log1p(sums, out=sums), out=sums)
         for j in range(1, sums.shape[1]):
@@ -266,15 +263,14 @@ def _sinrs(fields: list[_Field], seed: int, page: int,
 
     The page's stream holds, in order: its worker counts (:meth:`_Field.workers`),
     its serving uniforms, its interferer counts and its interferer rows in
-    replication order.  The rows are read in slices of ``_BLOCK`` elements.
-    A slice's owners are the runs of its replications, from the cumulative
+    replication order.  The rows are read in slices of ``_BLOCK`` elements;
+    a slice's owners are its replications' runs of rows, from the cumulative
     counts clipped to the slice.  Its field-free terms (:class:`_Slice`) are
-    computed once: the cosines and fade sums for every field, the gain index
-    for every distinct gain table, since fields of one layout may differ in
-    beamwidth.  Each field then adds its powers into its owners' sums left to
-    right in stream order.  Every shared term is elementwise, with the float
-    operations each field alone would make, so no SINR depends on the
-    slicing or on the other fields.
+    computed once for all fields, the gain index once per gain table, since
+    fields of one layout may differ in beamwidth.  Each field adds its
+    powers into its owners' sums left to right in stream order.  A shared
+    term is elementwise, by the float operations each field alone would
+    make, so no SINR depends on the slicing or on the other fields.
     """
     lead = fields[0]
     rng = _rng(seed, _PURPOSE_SPATIAL, page)
